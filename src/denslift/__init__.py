@@ -8,12 +8,14 @@ from .errors import (
     DimensionTooSmallError,
     DuplicateSymbolError,
     ExceptionalWeightError,
+    FlagError,
     HasWeightOperatorError,
     IndexRangeError,
     NotNormalizedError,
     OrderTooHighError,
     OrderViolationError,
     ParseError,
+    SchemaError,
     ZeroDenominatorError,
     ZeroOperatorError,
 )

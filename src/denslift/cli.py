@@ -7,7 +7,7 @@ jet symbols like ``S[1,2]`` with repeatable derivative suffixes ``_,i``, the
 generators ``D1..Dd``, the weight generator ``L``, and parenthesized
 subexpressions.  Symbol expressions additionally use ``xi`` / ``xi1..xid``.
 
-Exit codes: 0 on success, 1 on domain errors, 2 on syntax errors.
+Exit codes: 0 on success, 1 on domain errors, 2 on syntax or flag errors.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .errors import DensliftError, IndexRangeError, ParseError
+from .errors import DensliftError, FlagError, IndexRangeError, ParseError, SchemaError
 from .jets import DiffPolynomial
 from .lifting import (
     VolLiftParams,
@@ -37,7 +37,7 @@ from .lifting import (
     taylor_expand,
     vol_lift,
 )
-from .operators import DensityOperator
+from .operators import DensityOperator, generic_second_order
 from .projective import (
     DiffeoJet1D,
     SymbolPoly,
@@ -92,6 +92,8 @@ def _tokenize(src: str) -> List[Tuple[str, str, int]]:
 
 _DGEN_RE = re.compile(r"^D(\d+)$")
 _XI_RE = re.compile(r"^xi(\d*)$")
+# Deeper nesting is rejected before it can exhaust the interpreter's stack.
+MAX_NESTING = 100
 
 
 class _Parser:
@@ -100,6 +102,7 @@ class _Parser:
     def __init__(self, src: str, cfg: SessionConfig, symbol_mode: bool = False):
         self.tokens = _tokenize(src)
         self.pos = 0
+        self.depth = 0
         self.cfg = cfg
         self.symbol_mode = symbol_mode
 
@@ -236,8 +239,12 @@ class _Parser:
             scalar = Scalar.of(Fraction(val))
             return self._const(scalar)
         if kind == "op" and val == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", off)
             inner = self.expr()
             self.expect(")")
+            self.depth -= 1
             return inner
         if kind != "name":
             raise ParseError("expected an atom", off)
@@ -298,13 +305,20 @@ def parse_symbol(src: str, cfg: SessionConfig) -> SymbolPoly:
 
 
 def operator_from_json(text: str, cfg: SessionConfig) -> DensityOperator:
-    data = json.loads(text)
+    try:
+        terms = [(t["lpow"], t["dmulti"], t["coeff"]) for t in json.loads(text)["terms"]]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise SchemaError(f"not a denslift/1 operator: {exc!r}") from None
     out = DensityOperator.zero(cfg.dim)
-    for term in data["terms"]:
-        coeff = parse_operator(term["coeff"], cfg)
-        piece = DensityOperator(cfg.dim, {
-            (term["lpow"], tuple(term["dmulti"])): coeff.coefficient(0, ())})
-        out = out + piece
+    for r, alpha, coeff in terms:
+        if (type(r) is not int or not isinstance(alpha, list) or not isinstance(coeff, str)
+                or any(type(a) is not int for a in alpha)):
+            raise SchemaError(f"mistyped term: lpow {r!r}, dmulti {alpha!r}, coeff {coeff!r}")
+        f = parse_operator(coeff, cfg).coefficient(0, ())
+        try:
+            out = out + DensityOperator(cfg.dim, {(r, tuple(alpha)): f})
+        except ValueError as exc:
+            raise SchemaError(str(exc)) from None
     return out
 
 
@@ -333,10 +347,17 @@ def _read_operator(arg: str, cfg: SessionConfig) -> DensityOperator:
     return parse_operator(src, cfg)
 
 
+def _rational_flag(flag: str, value: str) -> Scalar:
+    try:
+        return Scalar.of(Fraction(value))
+    except (ValueError, ZeroDivisionError):
+        raise FlagError(f"{flag} expects an exact rational or 'symbolic', got {value!r}") from None
+
+
 def _lambda0(spec: str) -> Scalar:
     if spec in ("symbolic", "sym"):
         return Scalar.param("l0")
-    return Scalar.of(Fraction(spec))
+    return _rational_flag("--lambda0", spec)
 
 
 def _parse_params(spec: Optional[str]) -> Dict[str, Scalar]:
@@ -356,7 +377,7 @@ def _parse_params(spec: Optional[str]) -> Dict[str, Scalar]:
         if value in ("sym", "symbolic"):
             out[name] = Scalar.param(name)
         else:
-            out[name] = Scalar.of(Fraction(value))
+            out[name] = _rational_flag(f"--params {name}", value)
     return out
 
 
@@ -464,7 +485,7 @@ def _check_equivariance(cfg) -> Tuple[bool, str]:
     from .equivariance import LiftingHandle, ad_on_lifting
 
     dim = min(cfg.dim, 2)
-    delta = _generic_second_order(dim)
+    delta = generic_second_order(dim)
     X = [DiffPolynomial.jet("X", (i,)) for i in range(1, dim + 1)]
     handle = LiftingHandle.second_order_canonical(Scalar.param("l0"))
     defect = ad_on_lifting(handle, delta, X)
@@ -504,7 +525,7 @@ def _check_sdiff_classify(cfg) -> Tuple[bool, str]:
 
 def _check_regular(cfg) -> Tuple[bool, str]:
     dim = min(cfg.dim, 2)
-    delta = _generic_second_order(dim)
+    delta = generic_second_order(dim)
     lifted = canonical_lift(delta, Scalar.param("l0"), VolumeForm.generic())
     if not is_strict_pair(delta, lifted):
         return False, "canonical lift is not strictly regular"
@@ -514,7 +535,7 @@ def _check_regular(cfg) -> Tuple[bool, str]:
                       VolLiftParams.of(Scalar.param("b"), [0, 0], [0, 0]))
     if is_strict_pair(first, raised):
         return False, "vol family with b unexpectedly strict"
-    if not is_regular_pair(first, raised, 2):
+    if not is_regular_pair(raised, 2):
         return False, "vol family not regular at order 2"
     return True, "regular and strictly regular flags behave"
 
@@ -522,7 +543,7 @@ def _check_regular(cfg) -> Tuple[bool, str]:
 def _check_selfadjoint(cfg) -> Tuple[bool, str]:
     rho = VolumeForm.generic()
     l0 = Scalar.param("l0")
-    delta = _generic_second_order(1)
+    delta = generic_second_order(1)
     fam = selfadjoint_family(delta, l0, rho,
                              [DensityOperator.function(1, DiffPolynomial.jet("F"))])
     if fam.adjoint() != fam:
@@ -533,7 +554,7 @@ def _check_selfadjoint(cfg) -> Tuple[bool, str]:
 
 
 def _check_cocycle(cfg) -> Tuple[bool, str]:
-    delta = _generic_second_order(1)
+    delta = generic_second_order(1)
     l0 = Scalar.param("l0")
     for phi, label in ((DiffeoJet1D.identity(), "identity"),
                        (DiffeoJet1D.generic(), "generic"),
@@ -583,17 +604,6 @@ def _random_operator(rng, dim, max_total):
         terms[(r, alpha)] = _random_poly(rng, dim)
     op = DensityOperator(dim, terms)
     return op if not op.is_zero() else DensityOperator.identity(dim)
-
-
-def _generic_second_order(dim):
-    terms = {}
-    for i in range(1, dim + 1):
-        for j in range(i, dim + 1):
-            factor = 1 if i == j else 2
-            terms[(0, (i, j))] = DiffPolynomial.jet("S", (i, j)) * factor
-        terms[(0, (i,))] = DiffPolynomial.jet("T", (i,))
-    terms[(0, ())] = DiffPolynomial.jet("R")
-    return DensityOperator(dim, terms)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -677,6 +687,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.fn(args, cfg)
     except ParseError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
+        return 2
+    except FlagError as exc:
+        print(f"flag error: {exc}", file=sys.stderr)
         return 2
     except DensliftError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,23 +12,28 @@ last axis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
+from . import lifting, projective
 from .errors import DimensionTooSmallError, ExceptionalWeightError
 from .jets import DiffPolynomial, JetSymbol
 from .lifting import (
     VolLiftParams,
     VolumeForm,
+    apply_family,
     canonical_lift,
     distinguished_coefficients,
-    distinguished_lift,
-    first_order_lift,
-    second_order_canonical_lift,
-    vol_lift,
+    family_polynomials,
 )
-from .operators import DensityOperator, ad_vf
-from .scalars import HALF, ONE, Scalar
+from .operators import (
+    DensityOperator,
+    ad_vf,
+    coefficient_tensors,
+    generic_second_order,
+    tensor_divergence,
+    tensor_operator,
+)
+from .scalars import HALF, ONE, ZERO, Scalar
 
 VectorField = Sequence[DiffPolynomial]
 
@@ -51,64 +56,60 @@ def ad_weight(components: VectorField, op: DensityOperator, l0) -> DensityOperat
 
 @dataclass(frozen=True)
 class LiftingHandle:
-    """A lifting map reified so its own Lie derivative can be formed."""
+    """A lifting map reified so its own Lie derivative can be formed.
+
+    ``lift`` computes the map; ``kind`` and ``params`` name it for code that
+    models it independently (perfbench's sympy oracle).  Each closure looks
+    its lifting function up on the module when called, so wrappers installed
+    on the module after the handle was built still see the call.
+    """
 
     kind: str
     l0: Scalar
-    rho: Optional[VolumeForm] = None
+    lift: Callable[[DensityOperator], DensityOperator]
     params: Optional[VolLiftParams] = None
-    c: Optional[Scalar] = None
-    weight_polys: Optional[tuple] = None
 
     @staticmethod
     def canonical(l0, rho: VolumeForm) -> "LiftingHandle":
-        return LiftingHandle("canonical", Scalar.of(l0), rho)
+        l0 = Scalar.of(l0)
+        return LiftingHandle("canonical", l0, lambda d: lifting.canonical_lift(d, l0, rho))
 
     @staticmethod
     def vol(l0, rho: VolumeForm, params: VolLiftParams) -> "LiftingHandle":
-        return LiftingHandle("vol", Scalar.of(l0), rho, params=params)
+        l0 = Scalar.of(l0)
+        return LiftingHandle("vol", l0, lambda d: lifting.vol_lift(d, l0, rho, params), params)
 
     @staticmethod
     def distinguished(l0, rho: VolumeForm) -> "LiftingHandle":
-        return LiftingHandle("distinguished", Scalar.of(l0), rho)
+        l0 = Scalar.of(l0)
+        return LiftingHandle("distinguished", l0,
+                             lambda d: lifting.distinguished_lift(d, l0, rho))
 
     @staticmethod
     def first_order(l0, c) -> "LiftingHandle":
-        return LiftingHandle("first_order", Scalar.of(l0), c=Scalar.of(c))
+        l0, c = Scalar.of(l0), Scalar.of(c)
+        return LiftingHandle("first_order", l0, lambda d: lifting.first_order_lift(d, l0, c))
 
     @staticmethod
     def second_order_canonical(l0) -> "LiftingHandle":
-        return LiftingHandle("second_order_canonical", Scalar.of(l0))
+        l0 = Scalar.of(l0)
+        return LiftingHandle("second_order_canonical", l0,
+                             lambda d: lifting.second_order_canonical_lift(d, l0))
 
     @staticmethod
     def proj(l0) -> "LiftingHandle":
-        return LiftingHandle("proj", Scalar.of(l0))
+        l0 = Scalar.of(l0)
+        return LiftingHandle("proj", l0, lambda d: projective.proj_lift(d, l0))
 
     @staticmethod
     def proj_regular(l0, weight_polys) -> "LiftingHandle":
-        return LiftingHandle("proj_regular", Scalar.of(l0),
-                             weight_polys=tuple(tuple(p) for p in weight_polys))
+        l0 = Scalar.of(l0)
+        polys = [tuple(p) for p in weight_polys]
+        return LiftingHandle("proj_regular", l0,
+                             lambda d: projective.proj_regular_lift(d, l0, polys))
 
     def __call__(self, delta: DensityOperator) -> DensityOperator:
-        if self.kind == "canonical":
-            return canonical_lift(delta, self.l0, self.rho)
-        if self.kind == "vol":
-            return vol_lift(delta, self.l0, self.rho, self.params)
-        if self.kind == "distinguished":
-            return distinguished_lift(delta, self.l0, self.rho)
-        if self.kind == "first_order":
-            return first_order_lift(delta, self.l0, self.c)
-        if self.kind == "second_order_canonical":
-            return second_order_canonical_lift(delta, self.l0)
-        if self.kind == "proj":
-            from .projective import proj_lift
-
-            return proj_lift(delta, self.l0)
-        if self.kind == "proj_regular":
-            from .projective import proj_regular_lift
-
-            return proj_regular_lift(delta, self.l0, list(self.weight_polys))
-        raise ValueError(f"unknown lifting handle kind {self.kind!r}")
+        return self.lift(delta)
 
 
 def ad_on_lifting(handle: LiftingHandle, delta: DensityOperator,
@@ -117,34 +118,6 @@ def ad_on_lifting(handle: LiftingHandle, delta: DensityOperator,
     lifted = handle(delta)
     moved = ad_weight(components, delta, handle.l0)
     return ad_vf(components, lifted) - handle(moved)
-
-
-def _family_coefficients(kind: str, l0: Scalar, n: int,
-                         params: Optional[VolLiftParams], dim: int):
-    """Vertical polynomials (A, B, C, D) of the regular family member."""
-    ident = DensityOperator.identity(dim)
-    zero = DensityOperator.zero(dim)
-    u = DensityOperator.lam_poly(dim, [-l0, ONE])
-    if kind == "canonical":
-        return ident, zero, zero, zero
-    if kind == "distinguished":
-        if l0 == HALF:
-            raise ExceptionalWeightError("exceptional weight 1/2")
-        a, b = distinguished_coefficients(l0, n)
-        return (DensityOperator.lam_poly(dim, a), DensityOperator.lam_poly(dim, b),
-                zero, zero)
-    if kind == "vol":
-        sign = Fraction((-1) ** params.n)
-        a_poly = ident - params.b * u
-        b_poly = (params.b * sign) * u
-        c_poly, d_poly = zero, zero
-        u_pow = ident
-        for k in range(1, params.n + 1):
-            u_pow = u_pow @ u
-            c_poly = c_poly + u_pow * params.c[k - 1]
-            d_poly = d_poly + u_pow * params.d[k - 1]
-        return a_poly, b_poly, c_poly, d_poly
-    raise ValueError(f"no variation formula for lifting kind {kind!r}")
 
 
 def volume_variation(kind: str, delta: DensityOperator, l0, rho: VolumeForm,
@@ -162,13 +135,15 @@ def volume_variation(kind: str, delta: DensityOperator, l0, rho: VolumeForm,
     lifted = canonical_lift(delta, l0, rho)
     h_op = DensityOperator.function(dim, h)
     core = DensityOperator.lam_poly(dim, [-l0, ONE]) @ h_op.commutator(lifted)
-    a_poly, b_poly, c_poly, d_poly = _family_coefficients(kind, l0, n, params, dim)
-    out = a_poly @ core + b_poly @ core.adjoint()
-    if not c_poly.is_zero():
-        out = out + c_poly * core.app1()
-    if not d_poly.is_zero():
-        out = out + d_poly * core.adjoint().app1()
-    return out
+    if kind == "canonical":
+        polys = family_polynomials(dim, l0, n, ZERO)
+    elif kind == "distinguished":
+        polys = distinguished_coefficients(dim, l0, n)
+    elif kind == "vol":
+        polys = family_polynomials(dim, l0, params.n, params.b, params.c, params.d)
+    else:
+        raise ValueError(f"no variation formula for lifting kind {kind!r}")
+    return apply_family(polys, core)
 
 
 def check_adX_variation_identity(delta: DensityOperator, l0, rho: VolumeForm,
@@ -213,11 +188,11 @@ class DivFreeField:
         return obj.map_coefficients(lambda c: c.substitute_jets(self.rewrite))
 
 
-def generic_divfree_field(dim: int, jet_order: int = 0) -> DivFreeField:
+def generic_divfree_field(dim: int) -> DivFreeField:
     """Generic jet components X^i with d_i X^i = 0 imposed by elimination.
 
-    Jets here are symbolic and closed under prolongation, so the order
-    argument only documents intent; the substitution covers all orders.
+    Jets here are symbolic and closed under prolongation, so the substitution
+    covers the constraint's prolongations to all orders.
     """
     if dim < 2:
         raise DimensionTooSmallError("divergence constraint needs dim >= 2")
@@ -225,52 +200,20 @@ def generic_divfree_field(dim: int, jet_order: int = 0) -> DivFreeField:
     return DivFreeField(dim, comps)
 
 
-def _second_order_tensor_parts(op: DensityOperator):
-    """Tensor components (S, T, R) of S^{ik} d_i d_k + T^i d_i + R."""
-    dim = op.dim
-    s = {}
-    for i in range(1, dim + 1):
-        for j in range(i, dim + 1):
-            coeff = op.coefficient(0, (i, j))
-            s[(i, j)] = coeff if i == j else coeff * Fraction(1, 2)
-    t = [op.coefficient(0, (i,)) for i in range(1, dim + 1)]
-    r = op.coefficient(0, ())
-    return s, t, r
-
-
 def sdiff_basis_map(op: DensityOperator, a1, a2, a3, b1, b2, c) -> DensityOperator:
     """F(D) = a1 S dd + a2 (div S) d + a3 div div S + b1 T d + b2 div T + c R."""
     a1, a2, a3, b1, b2, c = (Scalar.of(v) for v in (a1, a2, a3, b1, b2, c))
     dim = op.dim
-    s, t, r = _second_order_tensor_parts(op)
-
-    def s_at(i, j):
-        return s[(min(i, j), max(i, j))]
-
-    terms = {}
-
-    def bump(key, poly):
-        if poly.is_zero():
-            return
-        prev = terms.get(key)
-        terms[key] = poly if prev is None else prev + poly
-
-    for i in range(1, dim + 1):
-        for j in range(1, dim + 1):
-            bump((0, tuple(sorted((i, j)))), s_at(i, j) * a1)
-    for k in range(1, dim + 1):
-        div_s = DiffPolynomial.zero()
-        for i in range(1, dim + 1):
-            div_s = div_s + s_at(i, k).derive(i)
-        bump((0, (k,)), div_s * a2 + t[k - 1] * b1)
-    divdiv = DiffPolynomial.zero()
-    div_t = DiffPolynomial.zero()
-    for i in range(1, dim + 1):
-        div_t = div_t + t[i - 1].derive(i)
-        for k in range(1, dim + 1):
-            divdiv = divdiv + s_at(i, k).derive(i).derive(k)
-    bump((0, ()), divdiv * a3 + div_t * b2 + r * c)
-    return DensityOperator(dim, terms)
+    zero = DiffPolynomial.zero()
+    tensors = coefficient_tensors(op)
+    S, T = tensors.get(2, {}), tensors.get(1, {})
+    div_s = tensor_divergence(S, dim)
+    terms = {(0, (k,)): div_s.get((k,), zero) * a2 + T.get((k,), zero) * b1
+             for k in range(1, dim + 1)}
+    terms[(0, ())] = (tensor_divergence(div_s, dim).get((), zero) * a3
+                      + tensor_divergence(T, dim).get((), zero) * b2
+                      + tensors.get(0, {}).get((), zero) * c)
+    return tensor_operator(S, dim) * a1 + DensityOperator(dim, terms)
 
 
 def classify_sdiff_map(a1, a2, a3, b1, b2, c, dim: int) -> DensityOperator:
@@ -278,7 +221,7 @@ def classify_sdiff_map(a1, a2, a3, b1, b2, c, dim: int) -> DensityOperator:
     divergence-free field; zero exactly on the b1 = a1 - a2, b2 = -a3 plane."""
     if dim < 3:
         raise DimensionTooSmallError("classification needs dim >= 3")
-    delta = _generic_second_order_operator(dim)
+    delta = generic_second_order(dim)
     X = generic_divfree_field(dim)
 
     def fmap(op):
@@ -287,17 +230,6 @@ def classify_sdiff_map(a1, a2, a3, b1, b2, c, dim: int) -> DensityOperator:
     moved = ad_weight(X.components, delta, 0)
     residual = ad_weight(X.components, fmap(delta), 0) - fmap(moved)
     return X.reduce(residual)
-
-
-def _generic_second_order_operator(dim: int) -> DensityOperator:
-    terms = {}
-    for i in range(1, dim + 1):
-        for j in range(i, dim + 1):
-            factor = 1 if i == j else 2
-            terms[(0, (i, j))] = DiffPolynomial.jet("S", (i, j)) * factor
-        terms[(0, (i,))] = DiffPolynomial.jet("T", (i,))
-    terms[(0, ())] = DiffPolynomial.jet("R")
-    return DensityOperator(dim, terms)
 
 
 @dataclass(frozen=True)

@@ -63,3 +63,11 @@ class ParseError(DensliftError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at offset {offset})")
         self.offset = offset
+
+
+class FlagError(DensliftError):
+    """A command-line flag value could not be read."""
+
+
+class SchemaError(DensliftError):
+    """JSON input does not follow the denslift/1 operator schema."""

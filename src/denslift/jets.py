@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple
 
 from .errors import DuplicateSymbolError
-from .scalars import Scalar
+from .scalars import Scalar, render_sum
 
 
 @dataclass(frozen=True, order=True)
@@ -71,21 +71,22 @@ class SymbolRules:
         self._lock = threading.Lock()
 
     def register(self, base: str, rule=None, inverse_of: Optional[JetSymbol] = None):
-        with self._lock:
-            if base in self._rules:
-                raise DuplicateSymbolError(f"symbol {base!r} already registered")
-            self._rules[base] = _normalize_rule(rule)
-            if inverse_of is not None:
-                self._pairs[JetSymbol(base)] = inverse_of
+        if not self._add(base, rule, inverse_of):
+            raise DuplicateSymbolError(f"symbol {base!r} already registered")
 
     def ensure(self, base: str, rule=None, inverse_of: Optional[JetSymbol] = None):
         """Idempotent registration used by modules that set up stock symbols."""
+        self._add(base, rule, inverse_of)
+
+    def _add(self, base: str, rule, inverse_of: Optional[JetSymbol]) -> bool:
+        """Register unless base is taken; returns whether it registered."""
         with self._lock:
             if base in self._rules:
-                return
+                return False
             self._rules[base] = _normalize_rule(rule)
             if inverse_of is not None:
                 self._pairs[JetSymbol(base)] = inverse_of
+            return True
 
     def rule_for(self, base: str) -> Optional[RuleFn]:
         return self._rules.get(base)
@@ -241,6 +242,9 @@ class DiffPolynomial:
         return self.terms == other.terms
 
     def __hash__(self):
+        # a constant hashes as the Scalar (and so the int or Fraction) it equals
+        if self.is_const():
+            return hash(self.const_value())
         return hash(frozenset(self.terms.items()))
 
     # -- calculus ----------------------------------------------------------
@@ -320,35 +324,12 @@ class DiffPolynomial:
     # -- display -----------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for m in sorted(self.terms, key=_mono_sort_key):
-            c = self.terms[m]
-            factors = []
-            for sym, exp in m:
-                factors.append(str(sym) if exp == 1 else f"{sym}^{exp}")
-            cs = str(c)
-            if not factors:
-                body = cs if _is_simple(cs) else f"({cs})"
-            elif c == Scalar.of(1):
-                body = "*".join(factors)
-            elif c == Scalar.of(-1):
-                body = "-" + "*".join(factors)
-            else:
-                body = (cs if _is_simple(cs) else f"({cs})") + "*" + "*".join(factors)
-            parts.append(body)
-        out = parts[0]
-        for body in parts[1:]:
-            out += " - " + body[1:] if body.startswith("-") else " + " + body
-        return out
+        return render_sum(
+            (self.terms[m], [str(sym) if exp == 1 else f"{sym}^{exp}" for sym, exp in m])
+            for m in sorted(self.terms, key=_mono_sort_key))
 
     def __repr__(self) -> str:
         return f"DiffPolynomial({self})"
-
-
-def _is_simple(s: str) -> bool:
-    return not any(ch in s for ch in "+- ") or (s.startswith("-") and not any(ch in s[1:] for ch in "+- "))
 
 
 def _mono_sort_key(m: JetMono):
@@ -368,11 +349,3 @@ def _coerce(value) -> DiffPolynomial:
     if isinstance(value, (int, Fraction, Scalar)):
         return DiffPolynomial.const(value)
     raise TypeError(f"cannot coerce {type(value).__name__} to DiffPolynomial")
-
-
-def derive(p: DiffPolynomial, axis: int) -> DiffPolynomial:
-    return p.derive(axis)
-
-
-def substitute_params(p: DiffPolynomial, bindings: Mapping[str, Scalar]) -> DiffPolynomial:
-    return p.substitute_params(bindings)

@@ -23,7 +23,13 @@ from .errors import (
     OrderViolationError,
 )
 from .jets import DiffPolynomial, REGISTRY
-from .operators import DensityOperator
+from .operators import (
+    DensityOperator,
+    coefficient_tensors,
+    lie_operator,
+    tensor_divergence,
+    tensor_operator,
+)
 from .scalars import HALF, ONE, Scalar, ZERO
 
 REGISTRY.ensure("ell")
@@ -91,7 +97,7 @@ class GeometricData:
     """Classifying data (S^{ij}, gamma^i, theta, F) of a second-order pencil."""
 
     dim: int
-    S: Dict[Tuple[int, int], DiffPolynomial]   # symmetric, keyed by sorted pairs
+    S: Dict[Tuple[int, int], DiffPolynomial]   # symmetric: nonzero components, sorted keys
     gamma: Tuple[DiffPolynomial, ...]
     theta: DiffPolynomial
     F: DiffPolynomial
@@ -137,6 +143,34 @@ def canonical_lift(delta: DensityOperator, l0, rho: VolumeForm) -> DensityOperat
     return delta.substitute_partials(covariant_partials(delta.dim, l0, rho))
 
 
+def family_polynomials(dim: int, l0: Scalar, n: int, b: Scalar, c: Sequence[Scalar] = (),
+                       d: Sequence[Scalar] = ()) -> Tuple[DensityOperator, ...]:
+    """Vertical polynomials (A, B, C, D) of the regular family member with
+    parameters (b, c, d): with u = L - l0, A = 1 - b u, B = (-1)^n b u,
+    C = sum_k c_k u^k and D = sum_k d_k u^k."""
+    ident = DensityOperator.identity(dim)
+    u = DensityOperator.lam_poly(dim, [-l0, ONE])
+    c_poly = d_poly = DensityOperator.zero(dim)
+    u_pow = ident
+    for ck, dk in zip(c, d):
+        u_pow = u_pow @ u
+        c_poly = c_poly + u_pow * ck
+        d_poly = d_poly + u_pow * dk
+    return ident - b * u, (b * Fraction((-1) ** n)) * u, c_poly, d_poly
+
+
+def apply_family(polys: Sequence[DensityOperator], lifted: DensityOperator) -> DensityOperator:
+    """A(L) P + B(L) P* + C(L) P(1) + D(L) P*(1) for polys = (A, B, C, D)."""
+    a_poly, b_poly, c_poly, d_poly = polys
+    lifted_adj = lifted.adjoint()
+    out = a_poly @ lifted + b_poly @ lifted_adj
+    if not c_poly.is_zero():
+        out = out + c_poly * lifted.app1()
+    if not d_poly.is_zero():
+        out = out + d_poly * lifted_adj.app1()
+    return out
+
+
 def vol_lift(delta: DensityOperator, l0, rho: VolumeForm,
              params: VolLiftParams) -> DensityOperator:
     """Regular lifting family A(L) P + B(L) P* + C(L) P(1) + D(L) P*(1)."""
@@ -146,49 +180,24 @@ def vol_lift(delta: DensityOperator, l0, rho: VolumeForm,
     if n < delta.total_order():
         raise OrderViolationError(
             f"parameter lists of length {n} cannot lift an order {delta.total_order()} operator")
-    dim = delta.dim
-    lifted = canonical_lift(delta, l0, rho)
-    lifted_adj = lifted.adjoint()
-    u = DensityOperator.lam_poly(dim, [-l0, ONE])          # L - l0
-    sign = Fraction((-1) ** n)
-
-    a_poly = DensityOperator.identity(dim) - params.b * u
-    b_poly = (params.b * sign) * u
-    out = a_poly @ lifted + b_poly @ lifted_adj
-
-    f_c = lifted.app1()
-    f_d = lifted_adj.app1()
-    for k in range(1, n + 1):
-        u_k = DensityOperator.identity(dim)
-        for _ in range(k):
-            u_k = u_k @ u
-        if not params.c[k - 1].is_zero() and not f_c.is_zero():
-            out = out + (u_k * params.c[k - 1]) * f_c
-        if not params.d[k - 1].is_zero() and not f_d.is_zero():
-            out = out + (u_k * params.d[k - 1]) * f_d
-    return out
+    polys = family_polynomials(delta.dim, l0, n, params.b, params.c, params.d)
+    return apply_family(polys, canonical_lift(delta, l0, rho))
 
 
-def distinguished_coefficients(l0: Scalar, n: int) -> Tuple[List[Scalar], List[Scalar]]:
-    """Vertical polynomials ((L + l0 - 1) and +/-(l0 - L)) over (2 l0 - 1)."""
-    den = 2 * l0 - 1
-    sign = Scalar.of((-1) ** n)
-    a = [(l0 - 1) / den, ONE / den]
-    b = [sign * l0 / den, -sign / den]
-    return a, b
+def distinguished_coefficients(dim: int, l0: Scalar, n: int) -> Tuple[DensityOperator, ...]:
+    """Family polynomials of the member with b = -1/(2 l0 - 1):
+    A = (L + l0 - 1)/(2 l0 - 1) and B = +/-(l0 - L)/(2 l0 - 1)."""
+    _require_not_half(l0)
+    return family_polynomials(dim, l0, n, -ONE / (2 * l0 - 1))
 
 
 def distinguished_lift(delta: DensityOperator, l0, rho: VolumeForm) -> DensityOperator:
     """The unique (anti-)self-adjoint point of the regular lifting line."""
     _require_weight_free(delta)
     l0 = Scalar.of(l0)
-    _require_not_half(l0)
-    n = delta.total_order()
-    lifted = canonical_lift(delta, l0, rho)
-    a, b = distinguished_coefficients(l0, n)
-    dim = delta.dim
-    return (DensityOperator.lam_poly(dim, a) @ lifted
-            + DensityOperator.lam_poly(dim, b) @ lifted.adjoint())
+    _require_not_half(l0)   # before total_order, which rejects the zero operator
+    polys = distinguished_coefficients(delta.dim, l0, delta.total_order())
+    return apply_family(polys, canonical_lift(delta, l0, rho))
 
 
 def sa_vertical_polynomials(dim: int, n: int, l0,
@@ -229,9 +238,8 @@ def first_order_lift(delta: DensityOperator, l0, c) -> DensityOperator:
     l0, c = Scalar.of(l0), Scalar.of(c)
     A, S = decompose_first_order(delta, l0)
     dim = delta.dim
-    lie = _lie_hat(dim, A)
     factor = DensityOperator.lam_poly(dim, [1 - c * l0, c])
-    return lie + factor * S
+    return lie_operator(dim, A) + factor * S
 
 
 def decompose_first_order(delta: DensityOperator, l0
@@ -249,12 +257,6 @@ def decompose_first_order(delta: DensityOperator, l0
     return comps, remainder
 
 
-def _lie_hat(dim: int, components: Sequence[DiffPolynomial]) -> DensityOperator:
-    from .operators import lie_operator
-
-    return lie_operator(dim, list(components))
-
-
 def extract_geometric_data(delta: DensityOperator, l0) -> GeometricData:
     """Invert the second-order self-adjoint pencil conditions at weight l0."""
     _require_weight_free(delta)
@@ -263,61 +265,36 @@ def extract_geometric_data(delta: DensityOperator, l0) -> GeometricData:
     l0 = Scalar.of(l0)
     _require_generic(l0)
     dim = delta.dim
-
-    S: Dict[Tuple[int, int], DiffPolynomial] = {}
-    for i in range(1, dim + 1):
-        for j in range(i, dim + 1):
-            coeff = delta.coefficient(0, (i, j))
-            S[(i, j)] = coeff if i == j else coeff * Fraction(1, 2)
-
-    def s_at(i, j):
-        return S.get((min(i, j), max(i, j)), DiffPolynomial.zero())
-
+    S = coefficient_tensors(delta).get(2, {})
+    div_s = tensor_divergence(S, dim)
     den = 2 * l0 - 1
-    gamma = []
-    for i in range(1, dim + 1):
-        div_s = DiffPolynomial.zero()
-        for j in range(1, dim + 1):
-            div_s = div_s + s_at(j, i).derive(j)
-        gamma.append((delta.coefficient(0, (i,)) - div_s) * (ONE / den))
+    zero = DiffPolynomial.zero()
+    gamma = [(delta.coefficient(0, (i,)) - div_s.get((i,), zero)) * (ONE / den)
+             for i in range(1, dim + 1)]
 
-    div_gamma = DiffPolynomial.zero()
+    div_gamma = zero
     for i, g in enumerate(gamma, start=1):
         div_gamma = div_gamma + g.derive(i)
     R = delta.coefficient(0, ())
     theta = (R - div_gamma * l0) * (ONE / (l0 * (l0 - 1)))
-    return GeometricData(dim, S, tuple(gamma), theta, DiffPolynomial.zero())
+    return GeometricData(dim, S, tuple(gamma), theta, zero)
 
 
 def assemble_self_adjoint_second_order(data: GeometricData) -> DensityOperator:
     """S D D + (div S) D + (2L - 1) gamma D + L div gamma + L(L-1) theta + F."""
     dim = data.dim
-    terms: Dict[Tuple[int, Tuple[int, ...]], DiffPolynomial] = {}
-
-    def bump(key, poly):
-        if poly.is_zero():
-            return
-        prev = terms.get(key)
-        terms[key] = poly if prev is None else prev + poly
-
-    for i in range(1, dim + 1):
-        for j in range(1, dim + 1):
-            bump((0, tuple(sorted((i, j)))), data.s_component(i, j))
-    for i in range(1, dim + 1):
-        div_s = DiffPolynomial.zero()
-        for j in range(1, dim + 1):
-            div_s = div_s + data.s_component(j, i).derive(j)
-        bump((0, (i,)), div_s)
-        bump((1, (i,)), 2 * data.gamma[i - 1])
-        bump((0, (i,)), -data.gamma[i - 1])
-    div_gamma = DiffPolynomial.zero()
+    div_s = tensor_divergence(data.S, dim)
+    zero = DiffPolynomial.zero()
+    terms = {}
+    div_gamma = zero
     for i, g in enumerate(data.gamma, start=1):
+        terms[(0, (i,))] = div_s.get((i,), zero) - g
+        terms[(1, (i,))] = 2 * g
         div_gamma = div_gamma + g.derive(i)
-    bump((1, ()), div_gamma)
-    bump((2, ()), data.theta)
-    bump((1, ()), -data.theta)
-    bump((0, ()), data.F)
-    return DensityOperator(dim, terms)
+    terms[(1, ())] = div_gamma - data.theta
+    terms[(2, ())] = data.theta
+    terms[(0, ())] = data.F
+    return tensor_operator(data.S, dim) + DensityOperator(dim, terms)
 
 
 def second_order_canonical_lift(delta: DensityOperator, l0) -> DensityOperator:
@@ -446,37 +423,24 @@ def limit_lift(delta: DensityOperator, rho: VolumeForm) -> DensityOperator:
     if not delta.app1().is_zero():
         raise NotNormalizedError("operator must annihilate the constant function")
     dim = delta.dim
-
-    S: Dict[Tuple[int, int], DiffPolynomial] = {}
-    for i in range(1, dim + 1):
-        for j in range(i, dim + 1):
-            coeff = delta.coefficient(0, (i, j))
-            S[(i, j)] = coeff if i == j else coeff * Fraction(1, 2)
-
-    def s_at(i, j):
-        return S.get((min(i, j), max(i, j)), DiffPolynomial.zero())
-
-    gamma = []
-    for i in range(1, dim + 1):
-        div_s = DiffPolynomial.zero()
-        for j in range(1, dim + 1):
-            div_s = div_s + s_at(j, i).derive(j)
-        gamma.append(div_s - delta.coefficient(0, (i,)))
+    S = coefficient_tensors(delta).get(2, {})
+    div_s = tensor_divergence(S, dim)
+    zero = DiffPolynomial.zero()
+    gamma = [div_s.get((i,), zero) - delta.coefficient(0, (i,)) for i in range(1, dim + 1)]
 
     # theta_rho = div gamma - div Gamma^ + gamma . Gamma with Gamma^i = S^{ij} Gamma_j
-    theta = DiffPolynomial.zero()
+    theta = zero
     for i, g in enumerate(gamma, start=1):
         theta = theta + g.derive(i) + g * rho.gamma(i)
     for i in range(1, dim + 1):
-        upper = DiffPolynomial.zero()
+        upper = zero
         for j in range(1, dim + 1):
-            upper = upper + s_at(i, j) * rho.gamma(j)
+            upper = upper + S.get((min(i, j), max(i, j)), zero) * rho.gamma(j)
         theta = theta - upper.derive(i)
-    return assemble_self_adjoint_second_order(
-        GeometricData(dim, S, tuple(gamma), theta, DiffPolynomial.zero()))
+    return assemble_self_adjoint_second_order(GeometricData(dim, S, tuple(gamma), theta, zero))
 
 
-def is_regular_pair(delta: DensityOperator, lifted: DensityOperator, n: int) -> bool:
+def is_regular_pair(lifted: DensityOperator, n: int) -> bool:
     return lifted.is_zero() or lifted.total_order() <= n
 
 

@@ -30,48 +30,15 @@ def operator_coordinates(ops: Sequence[DensityOperator]) -> List[List[Scalar]]:
     return rows
 
 
-def rank(matrix: List[List[Scalar]]) -> int:
-    """Row-echelon rank by exact Gaussian elimination."""
+def _row_reduce(matrix: List[List[Scalar]]) -> Tuple[List[List[Scalar]], List[Tuple[int, int]]]:
+    """Reduced row echelon form by exact Gauss-Jordan elimination, with the
+    (row, column) position of every pivot."""
     rows = [list(r) for r in matrix]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rk = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(rk, len(rows)):
-            if not rows[i][col].is_zero():
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[rk], rows[pivot] = rows[pivot], rows[rk]
-        inv = Scalar.of(1) / rows[rk][col]
-        rows[rk] = [entry * inv for entry in rows[rk]]
-        for i in range(len(rows)):
-            if i != rk and not rows[i][col].is_zero():
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rk])]
-        rk += 1
-        if rk == len(rows):
-            break
-    return rk
-
-
-def nullspace(matrix: List[List[Scalar]]) -> List[List[Scalar]]:
-    """Basis of the right kernel, exact."""
-    rows = [list(r) for r in matrix]
-    if not rows:
-        return []
-    ncols = len(rows[0])
     pivots: List[Tuple[int, int]] = []
-    rk = 0
+    ncols = len(rows[0]) if rows else 0
     for col in range(ncols):
-        pivot = None
-        for i in range(rk, len(rows)):
-            if not rows[i][col].is_zero():
-                pivot = i
-                break
+        rk = len(pivots)
+        pivot = next((i for i in range(rk, len(rows)) if not rows[i][col].is_zero()), None)
         if pivot is None:
             continue
         rows[rk], rows[pivot] = rows[pivot], rows[rk]
@@ -82,13 +49,27 @@ def nullspace(matrix: List[List[Scalar]]) -> List[List[Scalar]]:
                 f = rows[i][col]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[rk])]
         pivots.append((rk, col))
-        rk += 1
-        if rk == len(rows):
+        if len(pivots) == len(rows):
             break
+    return rows, pivots
+
+
+def rank(matrix: List[List[Scalar]]) -> int:
+    """Row-echelon rank by exact Gaussian elimination."""
+    return len(_row_reduce(matrix)[1])
+
+
+def nullspace(matrix: List[List[Scalar]]) -> List[List[Scalar]]:
+    """Basis of the right kernel, exact."""
+    if not matrix:
+        return []
+    rows, pivots = _row_reduce(matrix)
+    ncols = len(rows[0])
     pivot_cols = {c for _, c in pivots}
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
     basis = []
-    for free in free_cols:
+    for free in range(ncols):
+        if free in pivot_cols:
+            continue
         vec = [Scalar.of(0)] * ncols
         vec[free] = Scalar.of(1)
         for row, col in pivots:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .errors import (
@@ -24,7 +24,7 @@ from .errors import (
     ZeroOperatorError,
 )
 from .jets import DiffPolynomial
-from .scalars import Scalar
+from .scalars import Scalar, render_sum
 
 TermKey = Tuple[int, Tuple[int, ...]]
 
@@ -52,9 +52,12 @@ class DensityOperator:
         self.dim = dim
         self.terms = {}
         for (r, alpha), coeff in (terms or {}).items():
-            if coeff.is_zero():
-                continue
-            self.terms[(r, tuple(sorted(alpha)))] = coeff
+            alpha = tuple(sorted(alpha))
+            if r < 0 or alpha and (alpha[0] < 1 or alpha[-1] > dim):
+                raise ValueError(f"term key {(r, alpha)}: need a weight power >= 0 "
+                                 f"and axes in 1..{dim}")
+            if not coeff.is_zero():
+                self.terms[(r, alpha)] = coeff
 
     # -- constructors ------------------------------------------------------
 
@@ -254,27 +257,8 @@ class DensityOperator:
             key=lambda kv: (-(kv[0][0] + len(kv[0][1])), -kv[0][0], kv[0][1]))
 
     def render(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for (r, alpha), c in self.sorted_terms():
-            gens = ["L"] * r + [f"D{a}" for a in alpha]
-            cs = str(c)
-            negated = False
-            if not gens:
-                body = cs if _simple(cs) else f"({cs})"
-            elif c == DiffPolynomial.const(1):
-                body = "*".join(gens)
-            elif c == DiffPolynomial.const(-1):
-                body = "*".join(gens)
-                negated = True
-            else:
-                body = (cs if _simple(cs) else f"({cs})") + "*" + "*".join(gens)
-            parts.append(("-" if negated else "") + body)
-        out = parts[0]
-        for body in parts[1:]:
-            out += " - " + body[1:] if body.startswith("-") else " + " + body
-        return out
+        return render_sum((c, ["L"] * r + [f"D{a}" for a in alpha])
+                          for (r, alpha), c in self.sorted_terms())
 
     def to_json(self) -> str:
         data = {
@@ -312,12 +296,7 @@ def _push_derivatives(alpha: Tuple[int, ...], coeff: DiffPolynomial
     return table
 
 
-def _simple(s: str) -> bool:
-    core = s[1:] if s.startswith("-") else s
-    return not any(ch in core for ch in "+- ")
-
-
-# -- module-level operation aliases used throughout the higher layers --------
+# -- function forms of the core operations -------------------------------------
 
 def compose(a: DensityOperator, b: DensityOperator) -> DensityOperator:
     return a.compose(b)
@@ -335,16 +314,75 @@ def apply_operator(a: DensityOperator, s: Density) -> Density:
     return a.apply(s)
 
 
-def total_order(a: DensityOperator) -> int:
-    return a.total_order()
+# -- coefficient tensors -------------------------------------------------------
+
+Tensor = Dict[Tuple[int, ...], DiffPolynomial]
 
 
-def x_order(a: DensityOperator) -> int:
-    return a.x_order()
+def multinomial(alpha: Tuple[int, ...]) -> int:
+    """Number of orderings of the multi-index: the weight of a symmetric
+    tensor component in the operator coefficient of D^alpha."""
+    counts: Dict[int, int] = {}
+    for a in alpha:
+        counts[a] = counts.get(a, 0) + 1
+    out = factorial(len(alpha))
+    for c in counts.values():
+        out //= factorial(c)
+    return out
 
 
-def is_vertical(a: DensityOperator) -> bool:
-    return a.is_vertical()
+def coefficient_tensors(op: DensityOperator) -> Dict[int, Tensor]:
+    """Symmetric tensor components per order: c_alpha D^alpha summed over
+    sorted alpha equals S^{i1..ik} D_i1..D_ik summed over all index tuples."""
+    levels: Dict[int, Tensor] = {}
+    for (r, alpha), c in op.terms.items():
+        if r:
+            raise HasWeightOperatorError("symbol calculus expects a weight-free operator")
+        weight = multinomial(alpha)
+        levels.setdefault(len(alpha), {})[alpha] = c if weight == 1 else c * Fraction(1, weight)
+    return levels
+
+
+def tensor_divergence(tensor: Tensor, dim: int) -> Tensor:
+    """Contraction d_p S^{p i2..ik} of a symmetric tensor keyed by sorted indices."""
+    out: Tensor = {}
+    rank = len(next(iter(tensor))) if tensor else 0
+    if rank == 0:
+        return {}
+    seen = set()
+    for idx in tensor:
+        for gamma in {tuple(sorted(idx[:pos] + idx[pos + 1:])) for pos in range(rank)}:
+            seen.add(gamma)
+    for gamma in seen:
+        total = DiffPolynomial.zero()
+        for p in range(1, dim + 1):
+            comp = tensor.get(tuple(sorted(gamma + (p,))))
+            if comp is not None:
+                total = total + comp.derive(p)
+        if not total.is_zero():
+            out[gamma] = total
+    return out
+
+
+def tensor_operator(tensor: Tensor, dim: int) -> DensityOperator:
+    """Inverse of coefficient_tensors on one order: S^{i..k} D_i..D_k summed."""
+    terms = {}
+    for beta, c in tensor.items():
+        weight = multinomial(beta)
+        terms[(0, beta)] = c if weight == 1 else c * weight
+    return DensityOperator(dim, terms)
+
+
+def generic_second_order(dim: int) -> DensityOperator:
+    """S^{ij} D_i D_j + T^i D_i + R with fully generic jet coefficients."""
+    terms = {}
+    for i in range(1, dim + 1):
+        for j in range(i, dim + 1):
+            factor = 1 if i == j else 2
+            terms[(0, (i, j))] = DiffPolynomial.jet("S", (i, j)) * factor
+        terms[(0, (i,))] = DiffPolynomial.jet("T", (i,))
+    terms[(0, ())] = DiffPolynomial.jet("R")
+    return DensityOperator(dim, terms)
 
 
 def lie_operator(dim: int, components: Sequence[DiffPolynomial]) -> DensityOperator:

@@ -16,15 +16,17 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import (
-    BadPolynomialError,
-    DimensionNotOneError,
-    HasWeightOperatorError,
-)
+from .errors import BadPolynomialError, DimensionNotOneError
 from .jets import DiffPolynomial, JetSymbol, REGISTRY
 from .lifting import extract_geometric_data
-from .operators import DensityOperator
-from .scalars import ONE, Scalar
+from .operators import (
+    DensityOperator,
+    coefficient_tensors,
+    multinomial,
+    tensor_divergence,
+    tensor_operator,
+)
+from .scalars import ONE, Scalar, render_sum
 
 # Reciprocal-jet symbols: w = 1/y_x with dw = -w^2 y_xx, and the pair (u, q)
 # with du = u^2, dq = -1 encoding u = 1/(1-x) for Moebius jets.
@@ -38,16 +40,6 @@ REGISTRY.ensure(
 REGISTRY.ensure("u", lambda sym, axis: DiffPolynomial.jet("u") ** 2,
                 inverse_of=JetSymbol("q"))
 REGISTRY.ensure("q", lambda sym, axis: DiffPolynomial.const(-1))
-
-
-def _multinomial(alpha: Tuple[int, ...]) -> int:
-    counts: Dict[int, int] = {}
-    for a in alpha:
-        counts[a] = counts.get(a, 0) + 1
-    out = factorial(len(alpha))
-    for c in counts.values():
-        out //= factorial(c)
-    return out
 
 
 class SymbolPoly:
@@ -140,33 +132,15 @@ class SymbolPoly:
         return SymbolPoly(self.dim, out)
 
     def render(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
+        terms = []
         for beta in sorted(self.terms, key=lambda b: (-len(b), b)):
-            c = self.terms[beta]
             powers: Dict[int, int] = {}
             for i in beta:
                 powers[i] = powers.get(i, 0) + 1
-            factors = []
-            for i, e in sorted(powers.items()):
-                name = "xi" if self.dim == 1 else f"xi{i}"
-                factors.append(name if e == 1 else f"{name}^{e}")
-            cs = str(c)
-            simple = not any(ch in cs for ch in "+ ") and not (cs.count("-") > (1 if cs.startswith("-") else 0))
-            if not factors:
-                body = cs if simple else f"({cs})"
-            elif c == DiffPolynomial.const(1):
-                body = "*".join(factors)
-            elif c == DiffPolynomial.const(-1):
-                body = "-" + "*".join(factors)
-            else:
-                body = (cs if simple else f"({cs})") + "*" + "*".join(factors)
-            parts.append(body)
-        text = parts[0]
-        for body in parts[1:]:
-            text += " - " + body[1:] if body.startswith("-") else " + " + body
-        return text
+            factors = [("xi" if self.dim == 1 else f"xi{i}") + ("" if e == 1 else f"^{e}")
+                       for i, e in sorted(powers.items())]
+            terms.append((self.terms[beta], factors))
+        return render_sum(terms)
 
     def __str__(self):
         return self.render()
@@ -177,59 +151,18 @@ class SymbolPoly:
 
 # -- tensor bookkeeping -------------------------------------------------------
 
-def _operator_tensors(op: DensityOperator) -> Dict[int, Dict[Tuple[int, ...], DiffPolynomial]]:
-    """Symmetric tensor components per order, from operator coefficients."""
-    levels: Dict[int, Dict[Tuple[int, ...], DiffPolynomial]] = {}
-    for (r, alpha), c in op.terms.items():
-        if r:
-            raise HasWeightOperatorError("symbol calculus expects a weight-free operator")
-        levels.setdefault(len(alpha), {})[alpha] = c * Fraction(1, _multinomial(alpha))
-    return levels
-
-
-def _tensor_divergence(tensor: Dict[Tuple[int, ...], DiffPolynomial], dim: int
-                       ) -> Dict[Tuple[int, ...], DiffPolynomial]:
-    out: Dict[Tuple[int, ...], DiffPolynomial] = {}
-    rank = len(next(iter(tensor))) if tensor else 0
-    if rank == 0:
-        return {}
-    seen = set()
-    for idx in tensor:
-        for gamma in {tuple(sorted(idx[:pos] + idx[pos + 1:])) for pos in range(rank)}:
-            seen.add(gamma)
-    for gamma in seen:
-        total = DiffPolynomial.zero()
-        for p in range(1, dim + 1):
-            comp = tensor.get(tuple(sorted(gamma + (p,))))
-            if comp is not None:
-                total = total + comp.derive(p)
-        if not total.is_zero():
-            out[gamma] = total
-    return out
-
-
 def _tensor_to_symbol(tensor: Mapping[Tuple[int, ...], DiffPolynomial], dim: int,
                       scale: Scalar) -> SymbolPoly:
     terms = {}
     for beta, c in tensor.items():
-        poly = c * scale * _multinomial(beta)
+        poly = c * scale * multinomial(beta)
         if not poly.is_zero():
             terms[beta] = poly
     return SymbolPoly(dim, terms)
 
 
 def _symbol_to_tensor(sym: SymbolPoly) -> Dict[Tuple[int, ...], DiffPolynomial]:
-    return {beta: c * Fraction(1, _multinomial(beta)) for beta, c in sym.terms.items()}
-
-
-def _tensor_to_operator(tensor: Mapping[Tuple[int, ...], DiffPolynomial], dim: int
-                        ) -> DensityOperator:
-    terms = {}
-    for beta, c in tensor.items():
-        poly = c * _multinomial(beta)
-        if not poly.is_zero():
-            terms[(0, beta)] = poly
-    return DensityOperator(dim, terms)
+    return {beta: c * Fraction(1, multinomial(beta)) for beta, c in sym.terms.items()}
 
 
 # -- the full symbol map and its inverse --------------------------------------
@@ -252,13 +185,13 @@ def full_symbol(op: DensityOperator, lam) -> SymbolPoly:
     """Projectively equivariant total symbol, normalized on principal parts."""
     lam = Scalar.of(lam)
     out = SymbolPoly.zero(op.dim)
-    for n, tensor in _operator_tensors(op).items():
+    for n, tensor in coefficient_tensors(op).items():
         current = tensor
         for k in range(n + 1):
             if not current:
                 break
             out = out + _tensor_to_symbol(current, op.dim, symbol_coeff(n, k, lam, op.dim))
-            current = _tensor_divergence(current, op.dim)
+            current = tensor_divergence(current, op.dim)
         # order-0 coefficients have an empty divergence chain after k = 0
     return out
 
@@ -278,7 +211,7 @@ def quantize(sym: SymbolPoly, lam) -> DensityOperator:
     while not remaining.is_zero():
         n = remaining.degree()
         top = _symbol_to_tensor(remaining.homogeneous_part(n))
-        op_piece = _tensor_to_operator(top, dim)
+        op_piece = tensor_operator(top, dim)
         out = out + op_piece
         remaining = remaining - full_symbol(op_piece, lam)
     return out
@@ -303,44 +236,27 @@ def proj_generators(dim: int) -> List[List[DiffPolynomial]]:
     return gens
 
 
-def _lagrange_weight_polys(points: Sequence[Fraction]) -> List[List[Scalar]]:
-    """Coefficient lists of the Lagrange basis polynomials in the weight."""
-    out = []
-    for j, pj in enumerate(points):
-        coeffs = [Scalar.of(1)]
-        denom = Fraction(1)
-        for m, pm in enumerate(points):
-            if m == j:
-                continue
-            denom *= pj - pm
-            # multiply coeffs by (L - pm)
-            shifted = [Scalar.of(0)] + coeffs
-            coeffs = [shifted[t] - (coeffs[t] * pm if t < len(coeffs) else Scalar.of(0))
-                      for t in range(len(shifted))]
-        inv = Scalar.of(Fraction(1) / denom)
-        out.append([c * inv for c in coeffs])
-    return out
+# Formal weight at which proj_lift quantizes; the CLI grammar cannot name it.
+_WEIGHT = "_L"
 
 
 def proj_lift(delta: DensityOperator, l0) -> DensityOperator:
     """Quantize the weight-l0 symbol at the formal weight generator.
 
-    The quantization coefficients depend polynomially on the weight with
-    degree bounded by the operator order, so evaluation at order+1 rational
-    weights followed by Lagrange interpolation in L is exact.
+    The quantization is taken once at a reserved formal weight parameter;
+    its coefficients are polynomial in that parameter, and the coefficient of
+    its k-th power becomes the coefficient of L^k.
     """
     l0 = Scalar.of(l0)
     if delta.is_zero():
         return delta
-    sym = full_symbol(delta, l0)
-    n = delta.x_order()
-    points = [Fraction(j) for j in range(n + 1)]
-    evaluations = [quantize(sym, p) for p in points]
-    basis = _lagrange_weight_polys(points)
-    out = DensityOperator.zero(delta.dim)
-    for coeffs, op in zip(basis, evaluations):
-        out = out + DensityOperator.lam_poly(delta.dim, coeffs) @ op
-    return out
+    quantized = quantize(full_symbol(delta, l0), Scalar.param(_WEIGHT))
+    split: Dict[Tuple[int, Tuple[int, ...]], Dict] = {}
+    for (_, alpha), c in quantized.terms.items():
+        for mono, s in c.terms.items():
+            for k, sk in s.coefficients_in(_WEIGHT).items():
+                split.setdefault((k, alpha), {})[mono] = sk
+    return DensityOperator(delta.dim, {key: DiffPolynomial(t) for key, t in split.items()})
 
 
 def proj_decompose(delta: DensityOperator, l0) -> List[DensityOperator]:

@@ -215,28 +215,45 @@ def _pgcd(a: Poly, b: Poly) -> Poly:
     return _pmul(cg, g)
 
 
-def _pstr(p: Poly) -> str:
-    if not p:
-        return "0"
-    parts = []
-    for m in sorted(p, key=lambda m: (sum(e for _, e in m), m)):
-        c = p[m]
-        factors = []
-        for name, exp in m:
-            factors.append(name if exp == 1 else f"{name}^{exp}")
-        if not factors:
-            body = str(c)
-        elif c == 1:
-            body = "*".join(factors)
-        elif c == -1:
-            body = "-" + "*".join(factors)
+def _simple(text: str) -> bool:
+    """Whether rendered text is one optionally negated atom, needing no parentheses."""
+    core = text[1:] if text.startswith("-") else text
+    return not any(ch in core for ch in "+- ")
+
+
+def render_sum(terms) -> str:
+    """Render (coefficient, factor strings) pairs as a signed sum.
+
+    Unit coefficients of nonempty products are dropped, a coefficient whose
+    text is not a single atom is parenthesized, and a negative term joins the
+    sum as `` - ``.
+    """
+    out = ""
+    for coeff, factors in terms:
+        product = "*".join(factors)
+        if product and coeff == 1:
+            body = product
+        elif product and coeff == -1:
+            body = "-" + product
         else:
-            body = str(c) + "*" + "*".join(factors)
-        parts.append(body)
-    out = parts[0]
-    for body in parts[1:]:
-        out += " - " + body[1:] if body.startswith("-") else " + " + body
-    return out
+            body = str(coeff)
+            if not _simple(body):
+                body = f"({body})"
+            if product:
+                body += "*" + product
+        if not out:
+            out = body
+        elif body.startswith("-"):
+            out += " - " + body[1:]
+        else:
+            out += " + " + body
+    return out or "0"
+
+
+def _pstr(p: Poly) -> str:
+    return render_sum(
+        (p[m], [name if exp == 1 else f"{name}^{exp}" for name, exp in m])
+        for m in sorted(p, key=lambda m: (sum(e for _, e in m), m)))
 
 
 class Scalar:
@@ -372,6 +389,9 @@ class Scalar:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        # equal to the hash of the int or Fraction a rational scalar equals
+        if self.is_rational():
+            return hash(self.num.get(_ONE_MONO, 0))
         return hash((frozenset(self.num.items()), frozenset(self.den.items())))
 
     # -- substitution ------------------------------------------------------
@@ -397,6 +417,15 @@ class Scalar:
             raise ZeroDenominatorError(
                 f"substitution makes denominator {_pstr(self.den)} vanish")
         return eval_poly(self.num) / den
+
+    def coefficients_in(self, name: str) -> Dict[int, "Scalar"]:
+        """Coefficients of self as a polynomial in the parameter ``name``.
+
+        Raises ValueError when ``name`` occurs in the denominator.
+        """
+        if any(var == name for m in self.den for var, _ in m):
+            raise ValueError(f"{self} is not polynomial in {name}")
+        return {e: Scalar._make(p, self.den) for e, p in _split_by_var(self.num, name).items()}
 
     # -- display -----------------------------------------------------------
 

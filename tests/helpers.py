@@ -47,18 +47,6 @@ def generic_density(dim: int) -> Density:
     return Density(DiffPolynomial.jet("s"), Scalar.param("mu"))
 
 
-def generic_second_order(dim: int, sym="S", t="T", r="R") -> DensityOperator:
-    """S^{ij} D_i D_j + T^i D_i + R with fully generic jet coefficients."""
-    terms = {}
-    for i in range(1, dim + 1):
-        for j in range(i, dim + 1):
-            factor = 1 if i == j else 2
-            terms[(0, (i, j))] = DiffPolynomial.jet(sym, (i, j)) * factor
-        terms[(0, (i,))] = DiffPolynomial.jet(t, (i,))
-    terms[(0, ())] = DiffPolynomial.jet(r)
-    return DensityOperator(dim, terms)
-
-
 def generic_third_order(dim: int) -> DensityOperator:
     """S^{ikm} D^3 + G^{ik} D^2 + A^i D + R, generic jets, symmetric tensors."""
     op = DensityOperator.zero(dim)

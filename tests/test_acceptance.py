@@ -30,7 +30,7 @@ from denslift.lifting import (
     vol_lift,
 )
 from denslift.linalg import nullspace, operator_coordinates, rank
-from denslift.operators import DensityOperator, lie_operator
+from denslift.operators import DensityOperator, generic_second_order, lie_operator
 from denslift.projective import (
     DiffeoJet1D,
     SymbolPoly,
@@ -44,7 +44,6 @@ from denslift.projective import (
 from denslift.scalars import HALF, Scalar
 
 from helpers import (
-    generic_second_order,
     generic_third_order,
     random_field,
     random_operator,

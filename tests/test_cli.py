@@ -7,13 +7,14 @@ from fractions import Fraction
 import pytest
 
 from denslift.cli import (
+    MAX_NESTING,
     SessionConfig,
     main,
     operator_from_json,
     parse_operator,
     parse_symbol,
 )
-from denslift.errors import IndexRangeError, ParseError
+from denslift.errors import DensliftError, IndexRangeError, ParseError
 from denslift.jets import DiffPolynomial
 from denslift.operators import DensityOperator
 from denslift.projective import SymbolPoly
@@ -116,10 +117,60 @@ def test_json_reingestion_equals_operator():
         assert back == op
 
 
+def test_json_ingestion_rejects_malformed_input():
+    bad = [
+        '{"terms": [{"lpow": 0, "dmulti": [7], "coeff": "a"}]}',
+        '{"terms": [{"lpow": -1, "dmulti": [], "coeff": "a"}]}',
+        '{"terms": [{"lpow": 0, "coeff": "a"}]}',
+        '{"terms": [{"lpow": "0", "dmulti": [], "coeff": "a"}]}',
+        '{"terms": [{"lpow": 0, "dmulti": ["1"], "coeff": "a"}]}',
+        '{"terms": [{"lpow": 0, "dmulti": 1, "coeff": "a"}]}',
+        '{"terms": [{"lpow": 0, "dmulti": [], "coeff": 3}]}',
+        '{"terms": 5}',
+        '{"schema": "denslift/1"}',
+        '[]',
+        'not json',
+    ]
+    for text in bad:
+        with pytest.raises(DensliftError):
+            operator_from_json(text, cfg(dim=1))
+
+
 def test_cli_adjoint_of_weight(capsys):
     assert main(["--dim", "1", "adjoint", "L"]) == 0
     out = capsys.readouterr().out.strip()
     assert out == "-L + 1"
+
+
+def test_cli_readme_outputs_verbatim(capsys):
+    readme = [
+        (["--dim", "1", "--lambda0", "symbolic", "symbol", "a D1 D1 + b D1 + c"],
+         "a*xi^2 + ((-1/2 - l0)*a_,1 + b)*xi + ((1/3*l0 + 2/3*l0^2)*a_,1_,1 - l0*b_,1 + c)"),
+        (["check", "cocycle"],
+         "PASS cocycle: Schwarzian cocycle law on identity, generic, and Moebius jets"),
+    ]
+    for argv, shown in readme:
+        assert main(argv) == 0
+        assert capsys.readouterr().out == shown + "\n"
+
+
+def test_cli_bad_flag_values_exit_2_with_one_line(capsys):
+    for flags in (["--lambda0", "abc"], ["--lambda0", "1/0"], ["--params", "b=x"]):
+        assert main(flags + ["adjoint", "L"]) == 2, flags
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err.startswith("flag error: ") and captured.err.count("\n") == 1
+
+
+def test_parenthesis_nesting_is_bounded(capsys):
+    c = cfg()
+    nested = "(" * MAX_NESTING + "a D1" + ")" * MAX_NESTING
+    assert parse_operator(nested, c) == parse_operator("a D1", c)
+    deep = "(" * 2000 + "a" + ")" * 2000
+    with pytest.raises(ParseError):
+        parse_operator(deep, c)
+    assert main(["adjoint", deep]) == 2
+    assert capsys.readouterr().err.startswith("syntax error: parentheses nested deeper")
 
 
 def test_cli_lift_second_exceptional_weight(capsys):

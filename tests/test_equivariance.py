@@ -17,14 +17,18 @@ from denslift.equivariance import (
     sdiff_basis_map,
     volume_variation,
 )
-from denslift.errors import DimensionTooSmallError, ExceptionalWeightError
+from denslift.errors import (
+    DimensionTooSmallError,
+    ExceptionalWeightError,
+    HasWeightOperatorError,
+)
 from denslift.jets import DiffPolynomial
 from denslift.lifting import VolLiftParams, VolumeForm, canonical_lift
 from denslift.linalg import nullspace, operator_coordinates, rank
-from denslift.operators import DensityOperator
+from denslift.operators import DensityOperator, generic_second_order
 from denslift.scalars import Scalar
 
-from helpers import generic_second_order, random_field, random_operator
+from helpers import random_field, random_operator
 
 l0 = Scalar.param("l0")
 COORD = VolumeForm.coordinate()
@@ -279,6 +283,9 @@ def test_sdiff_basis_map_shapes():
     op = generic_second_order(3)
     identity = sdiff_basis_map(op, 1, 0, 0, 1, 0, 1)
     assert identity == op
+    # the map reads tensors of a weight-free operator; an L term is an error
+    with pytest.raises(HasWeightOperatorError):
+        sdiff_basis_map(op + DensityOperator.weight(3), 1, 0, 0, 1, 0, 1)
 
 
 def test_distinguished_variation_first_order_is_vertical():

@@ -31,10 +31,10 @@ from denslift.lifting import (
     taylor_expand,
     vol_lift,
 )
-from denslift.operators import DensityOperator, lie_operator
+from denslift.operators import DensityOperator, generic_second_order, lie_operator
 from denslift.scalars import Scalar
 
-from helpers import generic_second_order, random_operator
+from helpers import random_operator
 
 l0 = Scalar.param("l0")
 COORD = VolumeForm.coordinate()
@@ -145,7 +145,7 @@ def test_vol_lift_can_raise_order_of_lower_operators():
     lifted = vol_lift(delta, l0, COORD, VolLiftParams.of(b, [0, 0], [0, 0]))
     assert lifted.total_order() == 2
     assert not is_strict_pair(delta, lifted)
-    assert is_regular_pair(delta, lifted, 2)
+    assert is_regular_pair(lifted, 2)
 
 
 def test_distinguished_lift_parity_and_restriction():
@@ -477,7 +477,7 @@ def test_regularity_flags_match_first_section_example():
                 div_s = sum((S[(k, i)].derive(k) for k in (1, 2)), DiffPolynomial.zero())
                 extra = extra + DensityOperator(dim, {(1, (i,)): div_s + A[i - 1]})
         lifted = delta + extra
-        assert is_regular_pair(delta, lifted, 2) is regular
+        assert is_regular_pair(lifted, 2) is regular
         # strictness on the first-order subspace: drop the S part entirely
         delta1 = DensityOperator(dim, {(0, (1,)): A[0], (0, (2,)): A[1], (0, ()): F})
         lifted1 = delta1 + (DensityOperator(dim, {(1, (1,)): A[0], (1, (2,)): A[1]})

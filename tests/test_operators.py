@@ -191,6 +191,16 @@ def test_render_and_sorting():
     assert DensityOperator.zero(1).render() == "0"
 
 
+def test_constructor_rejects_keys_outside_the_operator_space():
+    # negative weight powers and axes outside 1..dim break the normal form
+    for key in ((-1, ()), (0, (3,)), (0, (0, 1)), (1, (1, 2))):
+        with pytest.raises(ValueError):
+            DensityOperator(1, {key: f})
+    with pytest.raises(ValueError):
+        DensityOperator(1, {(0, (3,)): f, (-1, ()): DiffPolynomial.const(1)})
+    assert DensityOperator(2, {(2, (2, 1)): f}).terms == {(2, (1, 2)): f}
+
+
 def test_json_shape():
     import json
 

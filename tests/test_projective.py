@@ -14,7 +14,7 @@ from denslift.errors import (
 from denslift.equivariance import ad_weight
 from denslift.jets import DiffPolynomial, JetSymbol
 from denslift.lifting import second_order_canonical_lift
-from denslift.operators import DensityOperator
+from denslift.operators import DensityOperator, generic_second_order
 from denslift.projective import (
     DiffeoJet1D,
     SymbolPoly,
@@ -32,7 +32,7 @@ from denslift.projective import (
 )
 from denslift.scalars import Scalar
 
-from helpers import random_operator
+from helpers import generic_third_order, random_operator
 
 l0 = Scalar.param("l0")
 lam = Scalar.param("lam")
@@ -192,16 +192,18 @@ def test_symbol_map_projectively_equivariant():
 
 
 def test_proj_lift_line_example_and_restriction():
-    delta = line_operator()
-    lifted = proj_lift(delta, l0)
     # head of the pencil: Q at the formal weight applied to a xi^2
-    assert lifted.coefficient(0, (1, 1)) == a
-    assert lifted.restrict(l0) == delta
-    assert lifted.total_order() == delta.x_order()
-    # restriction at a fresh symbolic weight equals direct quantization there
+    assert proj_lift(line_operator(), l0).coefficient(0, (1, 1)) == a
     mu = Scalar.param("mu")
-    sym = full_symbol(delta, l0)
-    assert lifted.restrict(mu) == quantize(sym, mu)
+    cases = [(line_operator(), l0)] + [
+        (make(dim), base) for make in (generic_second_order, generic_third_order)
+        for dim in (2, 3) for base in (l0, Scalar.of(Fraction(1, 3)))]
+    for delta, base in cases:
+        lifted = proj_lift(delta, base)
+        assert lifted.restrict(base) == delta
+        assert lifted.total_order() == delta.x_order()
+        # restriction at a fresh symbolic weight equals direct quantization there
+        assert lifted.restrict(mu) == quantize(full_symbol(delta, base), mu)
 
 
 def test_proj_lift_of_function_is_identity():

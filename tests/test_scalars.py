@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from denslift.errors import ZeroDenominatorError
+from denslift.jets import DiffPolynomial
 from denslift.scalars import Scalar
 
 l0 = Scalar.param("l0")
@@ -120,3 +121,16 @@ def test_gcd_cancellation_stress():
         rhs = p / q
         assert lhs == rhs
         assert hash(lhs) == hash(rhs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.fractions(max_denominator=60))
+def test_hash_agrees_with_equality_on_rationals(q):
+    # a rational Scalar and a constant DiffPolynomial equal their Fraction, so
+    # they must hash like it and collapse with it in sets and dict keys
+    for value in (Scalar.of(q), DiffPolynomial.const(q), DiffPolynomial.const(Scalar.of(q))):
+        assert value == q
+        assert hash(value) == hash(q)
+        assert len({value, q}) == 1
+    if q.denominator == 1:
+        assert len({Scalar.of(q), int(q), DiffPolynomial.const(int(q))}) == 1
