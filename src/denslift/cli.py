@@ -94,6 +94,19 @@ _DGEN_RE = re.compile(r"^D(\d+)$")
 _XI_RE = re.compile(r"^xi(\d*)$")
 # Deeper nesting is rejected before it can exhaust the interpreter's stack.
 MAX_NESTING = 100
+# Larger '^' exponents are rejected: a power composes one factor per unit.
+MAX_EXPONENT = 12
+# Larger --dim values are rejected: work grows with the number of axes.
+MAX_DIM = 8
+
+
+def _coefficient_function(value) -> Optional[DiffPolynomial]:
+    """The function a multiplication atom stands for, or None when the
+    operator or symbol has any other term."""
+    key = () if isinstance(value, SymbolPoly) else (0, ())
+    if any(k != key for k in value.terms):
+        return None
+    return value.terms.get(key, DiffPolynomial.zero())
 
 
 class _Parser:
@@ -167,15 +180,8 @@ class _Parser:
         return left * (Scalar.of(1) / scalar)
 
     def _as_scalar(self, value) -> Optional[Scalar]:
-        if self.symbol_mode:
-            if any(beta for beta in value.terms):
-                return None
-            coeff = value.coefficient(())
-        else:
-            if not value.is_vertical() or value.has_weight_factor():
-                return None
-            coeff = value.coefficient(0, ())
-        if not coeff.is_const():
+        coeff = _coefficient_function(value)
+        if coeff is None or not coeff.is_const():
             return None
         return coeff.const_value()
 
@@ -202,6 +208,8 @@ class _Parser:
                 nkind, nval, noff = self.next()
                 if nkind != "num" or "/" in nval:
                     raise ParseError("power needs a plain integer", noff)
+                if int(nval) > MAX_EXPONENT:
+                    raise ParseError(f"exponent above {MAX_EXPONENT}", noff)
                 value = self._power(value, int(nval))
             else:
                 return value
@@ -219,15 +227,11 @@ class _Parser:
 
     def _derive_atom(self, value, axis: int, offset: int):
         # only multiplication atoms (functions) can carry derivative suffixes
-        if self.symbol_mode:
-            if any(beta for beta in value.terms):
-                raise ParseError("derivative suffix on a fiber variable", offset)
-            coeff = value.coefficient(())
-            return SymbolPoly(self.cfg.dim, {(): coeff.derive(axis)})
-        if not value.is_vertical() or value.has_weight_factor():
-            raise ParseError("derivative suffix only applies to coefficient atoms", offset)
-        coeff = value.coefficient(0, ())
-        return DensityOperator.function(self.cfg.dim, coeff.derive(axis))
+        coeff = _coefficient_function(value)
+        if coeff is None:
+            raise ParseError("derivative suffix on a fiber variable" if self.symbol_mode
+                             else "derivative suffix only applies to coefficient atoms", offset)
+        return self._const(coeff.derive(axis))
 
     def _check_axis(self, axis: int, offset: int):
         if not 1 <= axis <= self.cfg.dim:
@@ -314,7 +318,9 @@ def operator_from_json(text: str, cfg: SessionConfig) -> DensityOperator:
         if (type(r) is not int or not isinstance(alpha, list) or not isinstance(coeff, str)
                 or any(type(a) is not int for a in alpha)):
             raise SchemaError(f"mistyped term: lpow {r!r}, dmulti {alpha!r}, coeff {coeff!r}")
-        f = parse_operator(coeff, cfg).coefficient(0, ())
+        f = _coefficient_function(parse_operator(coeff, cfg))
+        if f is None:
+            raise SchemaError(f"coeff {coeff!r} is not a coefficient function")
         try:
             out = out + DensityOperator(cfg.dim, {(r, tuple(alpha)): f})
         except ValueError as exc:
@@ -674,16 +680,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        dim = getattr(args, "dim", 1)
+        if not 1 <= dim <= MAX_DIM:
+            raise FlagError(f"--dim expects an integer in 1..{MAX_DIM}, got {dim}")
         cfg = SessionConfig(
-            dim=getattr(args, "dim", 1),
+            dim=dim,
             lambda0=_lambda0(getattr(args, "lambda0", "symbolic")),
             volume=(VolumeForm.generic() if getattr(args, "volume", "coordinate") == "generic"
                     else VolumeForm.coordinate()),
             json_output=getattr(args, "json", False),
             params=_parse_params(getattr(args, "params", "")),
         )
-        if cfg.dim < 1:
-            raise DensliftError("dimension must be at least 1")
         return args.fn(args, cfg)
     except ParseError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)

@@ -12,10 +12,11 @@ last axis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from typing import Callable, Optional, Sequence, Tuple
 
 from . import lifting, projective
-from .errors import DimensionTooSmallError, ExceptionalWeightError
+from .errors import DimensionTooSmallError
 from .jets import DiffPolynomial, JetSymbol
 from .lifting import (
     VolLiftParams,
@@ -32,19 +33,19 @@ from .operators import (
     generic_second_order,
     tensor_divergence,
     tensor_operator,
+    vector_divergence,
 )
-from .scalars import HALF, ONE, ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar
 
 VectorField = Sequence[DiffPolynomial]
 
 
 def divergence(components: VectorField, rho: VolumeForm) -> DiffPolynomial:
     """div_rho X = d_i X^i + X^i d_i log rho."""
-    out = DiffPolynomial.zero()
-    log_jet = rho.log_density()
-    for i, comp in enumerate(components, start=1):
-        out = out + comp.derive(i)
-        if not rho.is_coordinate:
+    out = vector_divergence(components)
+    if not rho.is_coordinate:
+        log_jet = rho.log_density()
+        for i, comp in enumerate(components, start=1):
             out = out + comp * log_jet.derive(i)
     return out
 
@@ -171,21 +172,8 @@ class DivFreeField:
     dim: int
     components: Tuple[DiffPolynomial, ...]
 
-    def rewrite(self, sym: JetSymbol) -> Optional[DiffPolynomial]:
-        if sym.base != "X" or sym.upper != (self.dim,) or self.dim not in sym.lower:
-            return None
-        rest = list(sym.lower)
-        rest.remove(self.dim)
-        out = DiffPolynomial.zero()
-        for j in range(1, self.dim):
-            out = out - DiffPolynomial.of_symbol(
-                JetSymbol("X", (j,), tuple(rest) + (j,)))
-        return out
-
     def reduce(self, obj):
-        if isinstance(obj, DiffPolynomial):
-            return obj.substitute_jets(self.rewrite)
-        return obj.map_coefficients(lambda c: c.substitute_jets(self.rewrite))
+        return _eliminate_divergence(obj, "X", self.dim)
 
 
 def generic_divfree_field(dim: int) -> DivFreeField:
@@ -242,52 +230,38 @@ class DivFreeTensor:
     base: str = "S"
 
     def operator(self) -> DensityOperator:
-        if self.rank == 0:
-            return DensityOperator.function(self.dim, DiffPolynomial.jet(self.base))
-        terms = {}
-        for idx in _tuples(self.dim, self.rank):
-            key = (0, tuple(sorted(idx)))
-            add = DiffPolynomial.jet(self.base, idx)
-            prev = terms.get(key)
-            terms[key] = add if prev is None else prev + add
-        return DensityOperator(self.dim, terms)
-
-    def rewrite(self, sym: JetSymbol) -> Optional[DiffPolynomial]:
-        if not self.constrained or sym.base != self.base:
-            return None
-        if self.dim not in sym.upper or self.dim not in sym.lower:
-            return None
-        upper_rest = list(sym.upper)
-        upper_rest.remove(self.dim)
-        lower_rest = list(sym.lower)
-        lower_rest.remove(self.dim)
-        out = DiffPolynomial.zero()
-        for j in range(1, self.dim):
-            out = out - DiffPolynomial.of_symbol(
-                JetSymbol(self.base, tuple(upper_rest) + (j,), tuple(lower_rest) + (j,)))
-        return out
+        """S^{i1..ik} D_i1..D_ik summed over all index tuples."""
+        indices = combinations_with_replacement(range(1, self.dim + 1), self.rank)
+        return tensor_operator({idx: DiffPolynomial.jet(self.base, idx) for idx in indices},
+                               self.dim)
 
     def reduce(self, obj):
-        if isinstance(obj, DiffPolynomial):
-            return obj.substitute_jets(self.rewrite)
-        return obj.map_coefficients(lambda cf: cf.substitute_jets(self.rewrite))
+        return _eliminate_divergence(obj, self.base, self.dim) if self.constrained else obj
 
 
-def _tuples(dim, rank):
-    if rank == 0:
-        yield ()
-        return
-    for rest in _tuples(dim, rank - 1):
-        for i in range(1, dim + 1):
-            yield rest + (i,)
+def _eliminate_divergence(obj, base: str, dim: int):
+    """Impose d_p base^{p i2..ik} = 0 and its prolongations on a polynomial or
+    operator: every jet with the last axis both as an upper index and as a
+    derivative becomes minus the sum of its partners over the other axes."""
+
+    def rewrite(sym: JetSymbol) -> Optional[DiffPolynomial]:
+        if sym.base != base or dim not in sym.upper or dim not in sym.lower:
+            return None
+        upper, lower = list(sym.upper), list(sym.lower)
+        upper.remove(dim)
+        lower.remove(dim)
+        return -sum((DiffPolynomial.jet(base, upper + [j], lower + [j]) for j in range(1, dim)),
+                    DiffPolynomial.zero())
+
+    if isinstance(obj, DiffPolynomial):
+        return obj.substitute_jets(rewrite)
+    return obj.map_coefficients(lambda c: c.substitute_jets(rewrite))
 
 
 def divfree_tensor_lift_check(tensor: DivFreeTensor, l0) -> bool:
     """Whether the signed distinguished lift of the tensor operator is
-    equivariant along a generic (unconstrained) field, modulo the constraint."""
-    l0 = Scalar.of(l0)
-    if l0 == HALF:
-        raise ExceptionalWeightError("exceptional weight 1/2")
+    equivariant along a generic (unconstrained) field, modulo the constraint.
+    The distinguished lift rejects the exceptional weight 1/2."""
     delta = tensor.operator()
     rho = VolumeForm.coordinate()
     handle = LiftingHandle.distinguished(l0, rho)

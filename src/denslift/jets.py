@@ -8,9 +8,8 @@ the total derivative that prolongs multi-indices via the Leibniz rule.
 
 Symbols may carry a registered derivative rule (``w`` with dw = -w^2*y_xx
 encodes 1/y_x); such symbols never acquire raw multi-indices, every derivative
-goes through the rule.  Registered inverse pairs (w with y_x) let callers
-cancel ``w*y_x -> 1`` monomial-by-monomial where the theory works modulo that
-relation.
+goes through the rule.  Callers that work modulo an inverse relation such as
+``w*y_x = 1`` cancel the pair monomial-by-monomial with ``cancel_pairs``.
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ RuleFn = Callable[[JetSymbol, int], "DiffPolynomial"]
 
 
 class SymbolRules:
-    """Append-only registry of derivative rules and inverse pairs.
+    """Append-only registry of derivative rules.
 
     Writes happen during setup; reads are lock-free afterwards (dict reads are
     atomic under CPython).
@@ -67,32 +66,26 @@ class SymbolRules:
 
     def __init__(self):
         self._rules: Dict[str, Optional[RuleFn]] = {}
-        self._pairs: Dict[JetSymbol, JetSymbol] = {}
         self._lock = threading.Lock()
 
-    def register(self, base: str, rule=None, inverse_of: Optional[JetSymbol] = None):
-        if not self._add(base, rule, inverse_of):
+    def register(self, base: str, rule=None):
+        if not self._add(base, rule):
             raise DuplicateSymbolError(f"symbol {base!r} already registered")
 
-    def ensure(self, base: str, rule=None, inverse_of: Optional[JetSymbol] = None):
+    def ensure(self, base: str, rule=None):
         """Idempotent registration used by modules that set up stock symbols."""
-        self._add(base, rule, inverse_of)
+        self._add(base, rule)
 
-    def _add(self, base: str, rule, inverse_of: Optional[JetSymbol]) -> bool:
+    def _add(self, base: str, rule) -> bool:
         """Register unless base is taken; returns whether it registered."""
         with self._lock:
             if base in self._rules:
                 return False
             self._rules[base] = _normalize_rule(rule)
-            if inverse_of is not None:
-                self._pairs[JetSymbol(base)] = inverse_of
             return True
 
     def rule_for(self, base: str) -> Optional[RuleFn]:
         return self._rules.get(base)
-
-    def inverse_pairs(self):
-        return tuple(self._pairs.items())
 
 
 def _normalize_rule(rule) -> Optional[RuleFn]:
@@ -109,8 +102,8 @@ def _normalize_rule(rule) -> Optional[RuleFn]:
 REGISTRY = SymbolRules()
 
 
-def register_symbol(base: str, rule=None, inverse_of: Optional[JetSymbol] = None):
-    REGISTRY.register(base, rule, inverse_of)
+def register_symbol(base: str, rule=None):
+    REGISTRY.register(base, rule)
 
 
 def _coordinate_rule(symbol: JetSymbol, axis: int) -> "DiffPolynomial":
@@ -300,9 +293,9 @@ class DiffPolynomial:
             if not hit:
                 return current
 
-    def cancel_pairs(self, pairs=None) -> "DiffPolynomial":
-        """Reduce monomials by registered inverse pairs (a*b -> 1)."""
-        pairs = REGISTRY.inverse_pairs() if pairs is None else tuple(pairs)
+    def cancel_pairs(self, pairs) -> "DiffPolynomial":
+        """Reduce monomials by the given inverse pairs (a*b -> 1)."""
+        pairs = tuple(pairs)
         if not pairs:
             return self
         out: Dict[JetMono, Scalar] = {}

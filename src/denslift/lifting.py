@@ -29,6 +29,7 @@ from .operators import (
     lie_operator,
     tensor_divergence,
     tensor_operator,
+    vector_divergence,
 )
 from .scalars import HALF, ONE, Scalar, ZERO
 
@@ -200,37 +201,36 @@ def distinguished_lift(delta: DensityOperator, l0, rho: VolumeForm) -> DensityOp
     return apply_family(polys, canonical_lift(delta, l0, rho))
 
 
+def half_shift(dim: int) -> DensityOperator:
+    """t(L) = L - 1/2, which the adjoint maps to -t(L)."""
+    return DensityOperator.lam_poly(dim, [-HALF, ONE])
+
+
+def even_t_family(dim: int, l0: Scalar, coeffs: Sequence) -> DensityOperator:
+    """sum_k c_k (t^{2k}(L) - t^{2k}(l0)): self-adjoint and zero at L = l0."""
+    t = half_shift(dim)
+    t0 = l0 - HALF
+    out = DensityOperator.zero(dim)
+    t_pow = t @ t
+    for k, ck in enumerate(coeffs, start=1):
+        ck = Scalar.of(ck)
+        if not ck.is_zero():
+            out = out + (t_pow - DensityOperator.identity(dim) * (t0 ** (2 * k))) * ck
+        t_pow = t_pow @ t @ t
+    return out
+
+
 def sa_vertical_polynomials(dim: int, n: int, l0,
                             c: Sequence, d: Sequence
                             ) -> Tuple[DensityOperator, DensityOperator]:
-    """Self-adjoint (n even) / anti-self-adjoint (n odd) vertical polynomials.
-
-    Built from powers of t(L) = L - 1/2, which flips sign under the adjoint;
-    both vanish at L = l0.
-    """
+    """Self-adjoint (n even) / anti-self-adjoint (n odd) vertical polynomials:
+    the even t-family, times t(L) when n is odd; both vanish at L = l0."""
     l0 = Scalar.of(l0)
-    p = n % 2
-    k_max = (n - p) // 2
-    c = [Scalar.of(x) for x in c]
-    d = [Scalar.of(x) for x in d]
+    k_max = n // 2
     if len(c) > k_max or len(d) > k_max:
         raise OrderViolationError(f"at most {k_max} coefficients allowed for order {n}")
-
-    t = DensityOperator.lam_poly(dim, [Scalar.of(Fraction(-1, 2)), ONE])
-    t0 = l0 - HALF
-
-    def build(coeffs):
-        out = DensityOperator.zero(dim)
-        t_pow = t @ t
-        for k, ck in enumerate(coeffs, start=1):
-            if not ck.is_zero():
-                out = out + (t_pow - DensityOperator.identity(dim) * (t0 ** (2 * k))) * ck
-            t_pow = t_pow @ t @ t
-        if p:
-            out = t @ out
-        return out
-
-    return build(c), build(d)
+    odd = half_shift(dim) if n % 2 else DensityOperator.identity(dim)
+    return tuple(odd @ even_t_family(dim, l0, coeffs) for coeffs in (c, d))
 
 
 def first_order_lift(delta: DensityOperator, l0, c) -> DensityOperator:
@@ -250,10 +250,7 @@ def decompose_first_order(delta: DensityOperator, l0
         raise OrderTooHighError("operator must have order at most 1")
     l0 = Scalar.of(l0)
     comps = [delta.coefficient(0, (i,)) for i in range(1, delta.dim + 1)]
-    div = DiffPolynomial.zero()
-    for i, comp in enumerate(comps, start=1):
-        div = div + comp.derive(i)
-    remainder = delta.coefficient(0, ()) - div * l0
+    remainder = delta.coefficient(0, ()) - vector_divergence(comps) * l0
     return comps, remainder
 
 
@@ -271,12 +268,8 @@ def extract_geometric_data(delta: DensityOperator, l0) -> GeometricData:
     zero = DiffPolynomial.zero()
     gamma = [(delta.coefficient(0, (i,)) - div_s.get((i,), zero)) * (ONE / den)
              for i in range(1, dim + 1)]
-
-    div_gamma = zero
-    for i, g in enumerate(gamma, start=1):
-        div_gamma = div_gamma + g.derive(i)
     R = delta.coefficient(0, ())
-    theta = (R - div_gamma * l0) * (ONE / (l0 * (l0 - 1)))
+    theta = (R - vector_divergence(gamma) * l0) * (ONE / (l0 * (l0 - 1)))
     return GeometricData(dim, S, tuple(gamma), theta, zero)
 
 
@@ -286,12 +279,10 @@ def assemble_self_adjoint_second_order(data: GeometricData) -> DensityOperator:
     div_s = tensor_divergence(data.S, dim)
     zero = DiffPolynomial.zero()
     terms = {}
-    div_gamma = zero
     for i, g in enumerate(data.gamma, start=1):
         terms[(0, (i,))] = div_s.get((i,), zero) - g
         terms[(1, (i,))] = 2 * g
-        div_gamma = div_gamma + g.derive(i)
-    terms[(1, ())] = div_gamma - data.theta
+    terms[(1, ())] = vector_divergence(data.gamma) - data.theta
     terms[(2, ())] = data.theta
     terms[(0, ())] = data.F
     return tensor_operator(data.S, dim) + DensityOperator(dim, terms)
@@ -404,7 +395,7 @@ def selfadjoint_family(delta0: DensityOperator, l0, rho: VolumeForm,
             coeffs[2 * k + 1] = odd
 
     u = DensityOperator.lam_poly(dim, [-l0, ONE])              # L - l0
-    t = DensityOperator.lam_poly(dim, [Scalar.of(Fraction(-1, 2)), ONE])  # L - 1/2
+    t = half_shift(dim)
     inner = DensityOperator.zero(dim)
     t_pow = DensityOperator.identity(dim)
     for k in range(1, max(coeffs) + 1 if coeffs else 1):
@@ -429,14 +420,11 @@ def limit_lift(delta: DensityOperator, rho: VolumeForm) -> DensityOperator:
     gamma = [div_s.get((i,), zero) - delta.coefficient(0, (i,)) for i in range(1, dim + 1)]
 
     # theta_rho = div gamma - div Gamma^ + gamma . Gamma with Gamma^i = S^{ij} Gamma_j
-    theta = zero
+    upper = [sum((S.get((min(i, j), max(i, j)), zero) * rho.gamma(j)
+                  for j in range(1, dim + 1)), zero) for i in range(1, dim + 1)]
+    theta = vector_divergence(gamma) - vector_divergence(upper)
     for i, g in enumerate(gamma, start=1):
-        theta = theta + g.derive(i) + g * rho.gamma(i)
-    for i in range(1, dim + 1):
-        upper = zero
-        for j in range(1, dim + 1):
-            upper = upper + S.get((min(i, j), max(i, j)), zero) * rho.gamma(j)
-        theta = theta - upper.derive(i)
+        theta = theta + g * rho.gamma(i)
     return assemble_self_adjoint_second_order(GeometricData(dim, S, tuple(gamma), theta, zero))
 
 

@@ -195,9 +195,9 @@ class DensityOperator:
         return Density(out, s.weight)
 
     def app1(self) -> DiffPolynomial:
-        """The function obtained by applying the operator to the constant 1."""
-        applied = self.apply(Density(DiffPolynomial.const(1), Scalar.of(0)))
-        return applied.coeff
+        """The function obtained by applying the operator to the constant 1
+        of weight 0: every L and every D kills it."""
+        return self.coefficient(0, ())
 
     def vertical_part(self) -> "DensityOperator":
         return DensityOperator(
@@ -385,21 +385,22 @@ def generic_second_order(dim: int) -> DensityOperator:
     return DensityOperator(dim, terms)
 
 
+def vector_divergence(components: Sequence[DiffPolynomial]) -> DiffPolynomial:
+    """Coordinate divergence d_i X^i of a vector field given by its components."""
+    out = DiffPolynomial.zero()
+    for i, comp in enumerate(components, start=1):
+        out = out + comp.derive(i)
+    return out
+
+
 def lie_operator(dim: int, components: Sequence[DiffPolynomial]) -> DensityOperator:
     """Lie derivative pencil X^i D_i + L * div X on the density algebra."""
     if len(components) != dim:
         raise DimensionMismatchError(
             f"vector field has {len(components)} components in dimension {dim}")
-    terms: Dict[TermKey, DiffPolynomial] = {}
-    div = DiffPolynomial.zero()
-    for i, comp in enumerate(components, start=1):
-        if not comp.is_zero():
-            terms[(0, (i,))] = comp
-        div = div + comp.derive(i)
-    op = DensityOperator(dim, terms)
-    if not div.is_zero():
-        op = op + DensityOperator(dim, {(1, ()): div})
-    return op
+    terms = {(0, (i,)): comp for i, comp in enumerate(components, start=1)}
+    terms[(1, ())] = vector_divergence(components)
+    return DensityOperator(dim, terms)
 
 
 def ad_vf(components: Sequence[DiffPolynomial], a: DensityOperator) -> DensityOperator:

@@ -18,7 +18,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import BadPolynomialError, DimensionNotOneError
 from .jets import DiffPolynomial, JetSymbol, REGISTRY
-from .lifting import extract_geometric_data
+from .lifting import _require_not_half, even_t_family, extract_geometric_data, half_shift
 from .operators import (
     DensityOperator,
     coefficient_tensors,
@@ -26,19 +26,15 @@ from .operators import (
     tensor_divergence,
     tensor_operator,
 )
-from .scalars import ONE, Scalar, render_sum
+from .scalars import HALF, ONE, Scalar, render_sum
 
 # Reciprocal-jet symbols: w = 1/y_x with dw = -w^2 y_xx, and the pair (u, q)
 # with du = u^2, dq = -1 encoding u = 1/(1-x) for Moebius jets.
 _Y1 = JetSymbol("y", (), (1,))
 _Y2 = JetSymbol("y", (), (1, 1))
-REGISTRY.ensure(
-    "w",
-    lambda sym, axis: -(DiffPolynomial.jet("w") ** 2) * DiffPolynomial.of_symbol(_Y2),
-    inverse_of=_Y1,
-)
-REGISTRY.ensure("u", lambda sym, axis: DiffPolynomial.jet("u") ** 2,
-                inverse_of=JetSymbol("q"))
+REGISTRY.ensure("w", lambda sym, axis: -(DiffPolynomial.jet("w") ** 2)
+                * DiffPolynomial.of_symbol(_Y2))
+REGISTRY.ensure("u", lambda sym, axis: DiffPolynomial.jet("u") ** 2)
 REGISTRY.ensure("q", lambda sym, axis: DiffPolynomial.const(-1))
 
 
@@ -280,15 +276,6 @@ def proj_decompose(delta: DensityOperator, l0) -> List[DensityOperator]:
     return parts
 
 
-def _eval_poly(coeffs: Sequence[Scalar], at: Scalar) -> Scalar:
-    total = Scalar.of(0)
-    power = Scalar.of(1)
-    for c in coeffs:
-        total = total + c * power
-        power = power * at
-    return total
-
-
 def proj_regular_lift(delta: DensityOperator, l0,
                       weight_polys: Sequence[Sequence] ) -> DensityOperator:
     """Regular projective lifting sum_k P_k(L) applied to the k-th part.
@@ -306,19 +293,11 @@ def proj_regular_lift(delta: DensityOperator, l0,
     for k, (coeffs, part) in enumerate(zip(polys, parts)):
         if len(coeffs) > k + 1:
             raise BadPolynomialError(f"P_{k} has degree {len(coeffs) - 1} > {k}")
-        if not _eval_poly(coeffs, l0).is_one():
+        poly = DensityOperator.lam_poly(delta.dim, coeffs)
+        if poly.restrict(l0) != DensityOperator.identity(delta.dim):
             raise BadPolynomialError(f"P_{k} is not normalized to 1 at the base weight")
-        if part.is_zero():
-            continue
-        out = out + DensityOperator.lam_poly(delta.dim, coeffs) @ proj_lift(part, l0)
-    return out
-
-
-def _poly_mul(a: Sequence[Scalar], b: Sequence[Scalar]) -> List[Scalar]:
-    out = [Scalar.of(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] = out[i + j] + ca * cb
+        if not part.is_zero():
+            out = out + poly @ proj_lift(part, l0)
     return out
 
 
@@ -326,51 +305,25 @@ def proj_sa_polynomials(n: int, l0, even_coeffs: Mapping[int, Sequence] = (),
                         odd_coeffs: Mapping[int, Sequence] = ()) -> List[List[Scalar]]:
     """Weight polynomials of all (anti-)self-adjoint regular projective liftings.
 
-    P_0 = 1, P_1 = (2L-1)/(2l0-1); even P_2k are 1 plus combinations of
-    t^{2r}(L) - t^{2r}(l0), odd P_2k+1 carry the extra factor t(L)/t(l0).
-    Free coefficients are per-polynomial; their total count is (n^2 - p(n))/4.
+    P_0 = 1, P_1 = (2L-1)/(2l0-1); even P_2k are 1 plus the even t-family
+    sum_r c_r (t^{2r}(L) - t^{2r}(l0)), odd P_2k+1 carry the extra factor
+    t(L)/t(l0).  Free coefficients are per-polynomial; their total count is
+    (n^2 - p(n))/4.  Each P_k is returned as its coefficient list in L.
     """
-    from .errors import ExceptionalWeightError
-    from .scalars import HALF
-
     l0 = Scalar.of(l0)
-    if l0 == HALF:
-        raise ExceptionalWeightError("exceptional weight 1/2")
+    _require_not_half(l0)
     even_coeffs = dict(even_coeffs or {})
     odd_coeffs = dict(odd_coeffs or {})
-    t = [Scalar.of(Fraction(-1, 2)), Scalar.of(1)]
-    t0 = l0 - HALF
-    t_sq = _poly_mul(t, t)
-
+    odd_factor = half_shift(1) * (ONE / (l0 - HALF))
     out: List[List[Scalar]] = []
     for k in range(n + 1):
-        if k == 0:
-            out.append([Scalar.of(1)])
-            continue
-        half_k = k // 2
-        given = even_coeffs.get(k, ()) if k % 2 == 0 else odd_coeffs.get(k, ())
-        given = [Scalar.of(c) for c in given]
-        if len(given) > half_k:
-            raise BadPolynomialError(
-                f"P_{k} admits at most {half_k} free coefficients")
-        body = [Scalar.of(1)]
-        t_pow = list(t_sq)
-        for r in range(1, half_k + 1):
-            cr = given[r - 1] if r <= len(given) else Scalar.of(0)
-            if not cr.is_zero():
-                shift = [c * cr for c in t_pow]
-                shift[0] = shift[0] - cr * (t0 ** (2 * r))
-                body = [
-                    (body[i] if i < len(body) else Scalar.of(0))
-                    + (shift[i] if i < len(shift) else Scalar.of(0))
-                    for i in range(max(len(body), len(shift)))
-                ]
-            t_pow = _poly_mul(t_pow, t_sq)
-        if k % 2 == 0:
-            out.append(body)
-        else:
-            scaled = _poly_mul(t, body)
-            out.append([c / t0 for c in scaled])
+        given = (odd_coeffs if k % 2 else even_coeffs).get(k, ()) if k else ()
+        if len(given) > k // 2:
+            raise BadPolynomialError(f"P_{k} admits at most {k // 2} free coefficients")
+        poly = DensityOperator.identity(1) + even_t_family(1, l0, given)
+        if k % 2:
+            poly = odd_factor @ poly
+        out.append([poly.coefficient(r, ()).const_value() for r in range(poly.lam_degree() + 1)])
     return out
 
 

@@ -208,6 +208,9 @@ def _pgcd(a: Poly, b: Poly) -> Poly:
             break
         cr = _content(r)
         r = {e: _pdiv_exact(q, cr) for e, q in r.items()}
+        # fix the free rational factor as well, or coefficients grow exponentially
+        scale = Fraction(1) / max(r[max(r)].items())[1]
+        r = {e: _pscale(q, scale) for e, q in r.items()}
         pa, pb = pb, r
         if max(pb) == 0:
             g = _pconst(1)
@@ -436,7 +439,7 @@ class Scalar:
         den = _pstr(self.den)
         if len(self.num) > 1:
             num = f"({num})"
-        if len(self.den) > 1:
+        if len(self.den) > 1 or "*" in den:   # k1*l0 as well as l0 + 1
             den = f"({den})"
         return f"{num}/{den}"
 

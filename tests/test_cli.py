@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from denslift.cli import (
+    MAX_EXPONENT,
     MAX_NESTING,
     SessionConfig,
     main,
@@ -14,7 +15,7 @@ from denslift.cli import (
     parse_operator,
     parse_symbol,
 )
-from denslift.errors import DensliftError, IndexRangeError, ParseError
+from denslift.errors import IndexRangeError, ParseError, SchemaError
 from denslift.jets import DiffPolynomial
 from denslift.operators import DensityOperator
 from denslift.projective import SymbolPoly
@@ -126,13 +127,15 @@ def test_json_ingestion_rejects_malformed_input():
         '{"terms": [{"lpow": 0, "dmulti": ["1"], "coeff": "a"}]}',
         '{"terms": [{"lpow": 0, "dmulti": 1, "coeff": "a"}]}',
         '{"terms": [{"lpow": 0, "dmulti": [], "coeff": 3}]}',
+        '{"terms": [{"lpow": 0, "dmulti": [], "coeff": "D1 + a"}]}',
+        '{"terms": [{"lpow": 0, "dmulti": [], "coeff": "L"}]}',
         '{"terms": 5}',
         '{"schema": "denslift/1"}',
         '[]',
         'not json',
     ]
     for text in bad:
-        with pytest.raises(DensliftError):
+        with pytest.raises(SchemaError):
             operator_from_json(text, cfg(dim=1))
 
 
@@ -155,7 +158,8 @@ def test_cli_readme_outputs_verbatim(capsys):
 
 
 def test_cli_bad_flag_values_exit_2_with_one_line(capsys):
-    for flags in (["--lambda0", "abc"], ["--lambda0", "1/0"], ["--params", "b=x"]):
+    for flags in (["--lambda0", "abc"], ["--lambda0", "1/0"], ["--params", "b=x"],
+                  ["--dim", "0"], ["--dim", "100000000"]):
         assert main(flags + ["adjoint", "L"]) == 2, flags
         captured = capsys.readouterr()
         assert not captured.out
@@ -171,6 +175,18 @@ def test_parenthesis_nesting_is_bounded(capsys):
         parse_operator(deep, c)
     assert main(["adjoint", deep]) == 2
     assert capsys.readouterr().err.startswith("syntax error: parentheses nested deeper")
+
+
+def test_power_exponent_is_bounded(capsys):
+    c = cfg()
+    assert parse_operator(f"L^{MAX_EXPONENT} a", c) == parse_operator("L " * MAX_EXPONENT + "a", c)
+    with pytest.raises(ParseError):
+        parse_operator(f"L^{MAX_EXPONENT + 1} a", c)
+    with pytest.raises(ParseError):
+        parse_symbol("a xi^200000", c)
+    assert main(["adjoint", "L^200000 a"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("syntax error: exponent above") and captured.err.count("\n") == 1
 
 
 def test_cli_lift_second_exceptional_weight(capsys):
@@ -256,6 +272,15 @@ def test_round_trip_with_rational_function_coefficients():
                    second_order_canonical_lift(base, Sc.param("l0"))):
         assert parse_operator(lifted.render(), c) == lifted
         assert operator_from_json(lifted.to_json(), c) == lifted
+
+
+def test_round_trip_with_monomial_denominators():
+    # 1/(k1*k2) must not render as 1/k1*k2, which reads back as k2/k1
+    c = cfg(dim=1)
+    for expr in ("a / (k1 k2)", "(k1 + 1) a D1 / (k1 l0^2)", "L a / (3 k1 k2 k3)"):
+        op = parse_operator(expr, c)
+        assert parse_operator(op.render(), c) == op, expr
+        assert operator_from_json(op.to_json(), c) == op, expr
 
 
 def test_division_by_scalar_expressions():

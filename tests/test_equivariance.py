@@ -1,5 +1,6 @@
 """Equivariance defects, volume variations, and the sdiff classification."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -224,6 +225,15 @@ def test_divfree_tensor_lift_checks():
     assert not divfree_tensor_lift_check(DivFreeTensor(3, 2, constrained=False), l0)
     with pytest.raises(ExceptionalWeightError):
         divfree_tensor_lift_check(DivFreeTensor(3, 2), Fraction(1, 2))
+
+
+def test_divfree_tensor_operator_sums_all_index_tuples():
+    for dim in (1, 2, 3):
+        for rank in (0, 1, 2, 3):
+            expected = DensityOperator.zero(dim)
+            for idx in itertools.product(range(1, dim + 1), repeat=rank):
+                expected = expected + DensityOperator(dim, {(0, idx): DiffPolynomial.jet("S", idx)})
+            assert DivFreeTensor(dim, rank).operator() == expected, (dim, rank)
 
 
 def test_divfree_tensor_rank3_pi_minus():

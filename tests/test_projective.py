@@ -399,8 +399,7 @@ def test_schwarzian_cocycle_composition():
         "z4", lambda s, ax: DiffPolynomial.jet("z5") * y1)
     REGISTRY.ensure(
         "wz",
-        lambda s, ax: -(DiffPolynomial.jet("wz") ** 2) * DiffPolynomial.jet("z2") * y1,
-        inverse_of=JetSymbol("z1"))
+        lambda s, ax: -(DiffPolynomial.jet("wz") ** 2) * DiffPolynomial.jet("z2") * y1)
 
     z1 = DiffPolynomial.jet("z1")
     wz = DiffPolynomial.jet("wz")

@@ -123,6 +123,22 @@ def test_gcd_cancellation_stress():
         assert hash(lhs) == hash(rhs)
 
 
+def test_bivariate_gcd_keeps_coefficients_small():
+    # the remainder sequence of this sum's gcd once grew without bound
+    k1 = Scalar.param("k1")
+    x = (2 * k1 ** 2 * l0 - 3 * k1 ** 2 * l0 ** 2) / (3 + 3 * l0 ** 2 + k1 * l0 ** 2)
+    y = (3 * k1 * l0 - 2 * k1 ** 2 * l0) / (4 + 2 * k1 ** 2 - 5 * k1 ** 2 * l0)
+    total = x + y
+    assert total - y == x
+    assert total - x == y
+
+
+def test_monomial_denominator_is_parenthesized():
+    k1 = Scalar.param("k1")
+    assert str(Scalar.of(1) / (k1 * l0)) == "1/(k1*l0)"
+    assert str(b / l0 ** 2) == "b/l0^2"
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.fractions(max_denominator=60))
 def test_hash_agrees_with_equality_on_rationals(q):
