@@ -70,6 +70,9 @@ _TOKEN_RE = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z][A-Za-z0-9
 
 
 def _tokenize(src: str) -> List[Tuple[str, str, int]]:
+    long_run = _LONG_DIGITS_RE.search(src)
+    if long_run:
+        raise ParseError(f"digit run longer than {MAX_DIGITS}", long_run.start())
     out = []
     pos = 0
     while pos < len(src):
@@ -94,6 +97,10 @@ _DGEN_RE = re.compile(r"^D(\d+)$")
 _XI_RE = re.compile(r"^xi(\d*)$")
 # Deeper nesting is rejected before it can exhaust the interpreter's stack.
 MAX_NESTING = 100
+# Longer digit runs (numerals, exponents, axes, indices) are rejected before
+# int() meets the interpreter's limit on integer string length.
+MAX_DIGITS = 100
+_LONG_DIGITS_RE = re.compile(r"\d{%d}" % (MAX_DIGITS + 1))
 # Larger '^' exponents are rejected: a power composes one factor per unit.
 MAX_EXPONENT = 12
 # Larger --dim values are rejected: work grows with the number of axes.

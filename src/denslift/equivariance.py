@@ -35,7 +35,7 @@ from .operators import (
     tensor_operator,
     vector_divergence,
 )
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ZERO, Scalar
 
 VectorField = Sequence[DiffPolynomial]
 
@@ -135,7 +135,7 @@ def volume_variation(kind: str, delta: DensityOperator, l0, rho: VolumeForm,
     n = delta.total_order()
     lifted = canonical_lift(delta, l0, rho)
     h_op = DensityOperator.function(dim, h)
-    core = DensityOperator.lam_poly(dim, [-l0, ONE]) @ h_op.commutator(lifted)
+    core = DensityOperator.lam_poly(dim, [ZERO, h_op.commutator(lifted)], l0)
     if kind == "canonical":
         polys = family_polynomials(dim, l0, n, ZERO)
     elif kind == "distinguished":

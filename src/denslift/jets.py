@@ -56,6 +56,10 @@ JetMono = Tuple[Tuple[JetSymbol, int], ...]
 
 RuleFn = Callable[[JetSymbol, int], "DiffPolynomial"]
 
+# substitute_jets passes over a polynomial at most this often: an elimination
+# rule needs one pass per eliminated index pair, a cyclic rule set never stops.
+MAX_REWRITE_ROUNDS = 64
+
 
 class SymbolRules:
     """Append-only registry of derivative rules.
@@ -274,10 +278,12 @@ class DiffPolynomial:
 
     def substitute_jets(self, rewrite: Callable[[JetSymbol], Optional["DiffPolynomial"]]
                         ) -> "DiffPolynomial":
-        """Rewrite symbols until no rule applies; rewrite returns None to keep."""
+        """Rewrite symbols until no rule applies; rewrite returns None to keep.
+        A rule set still rewriting after MAX_REWRITE_ROUNDS passes is taken to
+        cycle and raises ValueError."""
         current = self
-        while True:
-            hit = False
+        for _ in range(MAX_REWRITE_ROUNDS):
+            hit = None
             out = DiffPolynomial.zero()
             for m, c in current.terms.items():
                 factor = DiffPolynomial({(): c})
@@ -286,12 +292,13 @@ class DiffPolynomial:
                     if image is None:
                         factor = factor * DiffPolynomial({((sym, exp),): Scalar.of(1)})
                     else:
-                        hit = True
+                        hit = sym
                         factor = factor * image ** exp
                 out = out + factor
             current = out
-            if not hit:
+            if hit is None:
                 return current
+        raise ValueError(f"rewriting {hit} still applies after {MAX_REWRITE_ROUNDS} rounds")
 
     def cancel_pairs(self, pairs) -> "DiffPolynomial":
         """Reduce monomials by the given inverse pairs (a*b -> 1)."""

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
     ExceptionalWeightError,
-    HasWeightOperatorError,
     NotNormalizedError,
     OrderTooHighError,
     OrderViolationError,
@@ -107,11 +107,6 @@ class GeometricData:
         return self.S.get((min(i, j), max(i, j)), DiffPolynomial.zero())
 
 
-def _require_weight_free(op: DensityOperator):
-    if op.has_weight_factor():
-        raise HasWeightOperatorError("input operator already contains the weight generator")
-
-
 def _require_not_half(l0: Scalar):
     if l0 == HALF:
         raise ExceptionalWeightError("exceptional weight 1/2")
@@ -123,21 +118,18 @@ def _require_generic(l0: Scalar):
             raise ExceptionalWeightError(f"exceptional weight {label}")
 
 
-def covariant_partials(dim: int, l0: Scalar, rho: VolumeForm) -> List[DensityOperator]:
-    """The replacement operators nabla_i = D_i + (L - l0) Gamma_i."""
-    out = []
-    for i in range(1, dim + 1):
-        op = DensityOperator.partial(dim, i)
-        g = rho.gamma(i)
-        if not g.is_zero():
-            op = op + DensityOperator(dim, {(1, ()): g}) - DensityOperator.function(dim, g) * l0
-        out.append(op)
-    return out
+def covariant_partials(dim: int, l0: Scalar, rho: VolumeForm,
+                       sign: int = 1) -> List[DensityOperator]:
+    """The replacement operators nabla_i = D_i + sign (L - l0) Gamma_i: sign +1
+    lifts, sign -1 undoes the lift."""
+    return [DensityOperator.lam_poly(dim, [DensityOperator.partial(dim, i),
+                                           sign * rho.gamma(i)], l0)
+            for i in range(1, dim + 1)]
 
 
 def canonical_lift(delta: DensityOperator, l0, rho: VolumeForm) -> DensityOperator:
     """Conjugation by rho^(L - l0): every D_i becomes D_i + (L - l0) Gamma_i."""
-    _require_weight_free(delta)
+    delta.require_weight_free()
     l0 = Scalar.of(l0)
     if rho.is_coordinate:
         return delta
@@ -149,15 +141,8 @@ def family_polynomials(dim: int, l0: Scalar, n: int, b: Scalar, c: Sequence[Scal
     """Vertical polynomials (A, B, C, D) of the regular family member with
     parameters (b, c, d): with u = L - l0, A = 1 - b u, B = (-1)^n b u,
     C = sum_k c_k u^k and D = sum_k d_k u^k."""
-    ident = DensityOperator.identity(dim)
-    u = DensityOperator.lam_poly(dim, [-l0, ONE])
-    c_poly = d_poly = DensityOperator.zero(dim)
-    u_pow = ident
-    for ck, dk in zip(c, d):
-        u_pow = u_pow @ u
-        c_poly = c_poly + u_pow * ck
-        d_poly = d_poly + u_pow * dk
-    return ident - b * u, (b * Fraction((-1) ** n)) * u, c_poly, d_poly
+    return tuple(DensityOperator.lam_poly(dim, coeffs, l0) for coeffs in (
+        [ONE, -b], [ZERO, b * Fraction((-1) ** n)], [ZERO, *c], [ZERO, *d]))
 
 
 def apply_family(polys: Sequence[DensityOperator], lifted: DensityOperator) -> DensityOperator:
@@ -175,7 +160,7 @@ def apply_family(polys: Sequence[DensityOperator], lifted: DensityOperator) -> D
 def vol_lift(delta: DensityOperator, l0, rho: VolumeForm,
              params: VolLiftParams) -> DensityOperator:
     """Regular lifting family A(L) P + B(L) P* + C(L) P(1) + D(L) P*(1)."""
-    _require_weight_free(delta)
+    delta.require_weight_free()
     l0 = Scalar.of(l0)
     n = params.n
     if n < delta.total_order():
@@ -194,30 +179,23 @@ def distinguished_coefficients(dim: int, l0: Scalar, n: int) -> Tuple[DensityOpe
 
 def distinguished_lift(delta: DensityOperator, l0, rho: VolumeForm) -> DensityOperator:
     """The unique (anti-)self-adjoint point of the regular lifting line."""
-    _require_weight_free(delta)
+    delta.require_weight_free()
     l0 = Scalar.of(l0)
     _require_not_half(l0)   # before total_order, which rejects the zero operator
     polys = distinguished_coefficients(delta.dim, l0, delta.total_order())
     return apply_family(polys, canonical_lift(delta, l0, rho))
 
 
-def half_shift(dim: int) -> DensityOperator:
-    """t(L) = L - 1/2, which the adjoint maps to -t(L)."""
-    return DensityOperator.lam_poly(dim, [-HALF, ONE])
-
-
 def even_t_family(dim: int, l0: Scalar, coeffs: Sequence) -> DensityOperator:
-    """sum_k c_k (t^{2k}(L) - t^{2k}(l0)): self-adjoint and zero at L = l0."""
-    t = half_shift(dim)
+    """sum_k c_k (t^{2k}(L) - t^{2k}(l0)) with t(L) = L - 1/2, which the adjoint
+    maps to -t(L): self-adjoint and zero at L = l0."""
     t0 = l0 - HALF
-    out = DensityOperator.zero(dim)
-    t_pow = t @ t
+    poly = [ZERO]
     for k, ck in enumerate(coeffs, start=1):
         ck = Scalar.of(ck)
-        if not ck.is_zero():
-            out = out + (t_pow - DensityOperator.identity(dim) * (t0 ** (2 * k))) * ck
-        t_pow = t_pow @ t @ t
-    return out
+        poly[0] = poly[0] - ck * t0 ** (2 * k)
+        poly += [ZERO, ck]
+    return DensityOperator.lam_poly(dim, poly, HALF)
 
 
 def sa_vertical_polynomials(dim: int, n: int, l0,
@@ -229,8 +207,9 @@ def sa_vertical_polynomials(dim: int, n: int, l0,
     k_max = n // 2
     if len(c) > k_max or len(d) > k_max:
         raise OrderViolationError(f"at most {k_max} coefficients allowed for order {n}")
-    odd = half_shift(dim) if n % 2 else DensityOperator.identity(dim)
-    return tuple(odd @ even_t_family(dim, l0, coeffs) for coeffs in (c, d))
+    odd = [ZERO] * (n % 2)
+    return tuple(DensityOperator.lam_poly(dim, odd + [even_t_family(dim, l0, coeffs)], HALF)
+                 for coeffs in (c, d))
 
 
 def first_order_lift(delta: DensityOperator, l0, c) -> DensityOperator:
@@ -238,14 +217,14 @@ def first_order_lift(delta: DensityOperator, l0, c) -> DensityOperator:
     l0, c = Scalar.of(l0), Scalar.of(c)
     A, S = decompose_first_order(delta, l0)
     dim = delta.dim
-    factor = DensityOperator.lam_poly(dim, [1 - c * l0, c])
+    factor = DensityOperator.lam_poly(dim, [ONE, c], l0)
     return lie_operator(dim, A) + factor * S
 
 
 def decompose_first_order(delta: DensityOperator, l0
                           ) -> Tuple[List[DiffPolynomial], DiffPolynomial]:
     """Split A^i D_i + B into Lie derivative along A at weight l0 plus scalar."""
-    _require_weight_free(delta)
+    delta.require_weight_free()
     if not delta.is_zero() and delta.x_order() > 1:
         raise OrderTooHighError("operator must have order at most 1")
     l0 = Scalar.of(l0)
@@ -256,7 +235,7 @@ def decompose_first_order(delta: DensityOperator, l0
 
 def extract_geometric_data(delta: DensityOperator, l0) -> GeometricData:
     """Invert the second-order self-adjoint pencil conditions at weight l0."""
-    _require_weight_free(delta)
+    delta.require_weight_free()
     if not delta.is_zero() and delta.x_order() > 2:
         raise OrderTooHighError("operator must have order at most 2")
     l0 = Scalar.of(l0)
@@ -309,51 +288,30 @@ def cocycle_rho(delta: DensityOperator, l0, rho: VolumeForm) -> DiffPolynomial:
     return out
 
 
-def _divide_by_weight_shift(op: DensityOperator, l0: Scalar) -> DensityOperator:
-    """Exact division of op by (L - l0); op must vanish at L = l0."""
-    by_alpha: Dict[Tuple[int, ...], Dict[int, DiffPolynomial]] = {}
-    for (r, alpha), c in op.terms.items():
-        by_alpha.setdefault(alpha, {})[r] = c
-    out: Dict[Tuple[int, Tuple[int, ...]], DiffPolynomial] = {}
-    for alpha, coeffs in by_alpha.items():
-        top = max(coeffs)
-        # synthetic division by (L - l0), highest power first
-        carry = DiffPolynomial.zero()
-        for r in range(top, 0, -1):
-            carry = coeffs.get(r, DiffPolynomial.zero()) + carry * l0
-            if not carry.is_zero():
-                out[(r - 1, alpha)] = carry
-    return DensityOperator(op.dim, out)
-
-
 def taylor_expand(op: DensityOperator, l0, rho: VolumeForm) -> List[DensityOperator]:
-    """Coefficients [D0..Dn] with op = sum_k (L - l0)^k canonical_lift(Dk)."""
+    """Coefficients [D0..Dn] with op = sum_k (L - l0)^k canonical_lift(Dk): undo
+    the lift once, then expand L^r = sum_k C(r, k) l0^(r-k) (L - l0)^k."""
     l0 = Scalar.of(l0)
-    coeffs = []
-    remainder = op
-    while True:
-        dk = remainder.restrict(l0)
-        coeffs.append(dk)
-        remainder = remainder - canonical_lift(dk, l0, rho)
-        if remainder.is_zero():
-            break
-        remainder = _divide_by_weight_shift(remainder, l0)
-    return coeffs
+    if not rho.is_coordinate:
+        op = op.substitute_partials(covariant_partials(op.dim, l0, rho, -1))
+    top = op.lam_degree() if op.terms else 0
+    l0_pows = [l0 ** j for j in range(top + 1)]
+    shifted: List[Dict[Tuple[int, Tuple[int, ...]], DiffPolynomial]] = [{} for _ in l0_pows]
+    for (r, alpha), c in op.terms.items():
+        for k in range(r + 1):
+            add = c * (comb(r, k) * l0_pows[r - k])
+            prev = shifted[k].get((0, alpha))
+            shifted[k][(0, alpha)] = add if prev is None else prev + add
+    return [DensityOperator(op.dim, terms) for terms in shifted]
 
 
 def taylor_assemble(coeffs: Sequence[DensityOperator], l0, rho: VolumeForm) -> DensityOperator:
+    """sum_k (L - l0)^k canonical_lift(Dk) for coeffs = [D0..Dn]."""
     l0 = Scalar.of(l0)
     if not coeffs:
         raise ValueError("need at least one Taylor coefficient")
-    dim = coeffs[0].dim
-    u = DensityOperator.lam_poly(dim, [-l0, ONE])
-    out = DensityOperator.zero(dim)
-    u_pow = DensityOperator.identity(dim)
-    for dk in coeffs:
-        _require_weight_free(dk)
-        out = out + u_pow @ canonical_lift(dk, l0, rho)
-        u_pow = u_pow @ u
-    return out
+    return DensityOperator.lam_poly(coeffs[0].dim,
+                                    [canonical_lift(dk, l0, rho) for dk in coeffs], l0)
 
 
 def selfadjoint_family(delta0: DensityOperator, l0, rho: VolumeForm,
@@ -363,7 +321,7 @@ def selfadjoint_family(delta0: DensityOperator, l0, rho: VolumeForm,
     Free data are the even Taylor coefficients around weight 1/2; the odd ones
     are forced.  With no even data this reduces to the distinguished lift.
     """
-    _require_weight_free(delta0)
+    delta0.require_weight_free()
     l0 = Scalar.of(l0)
     _require_not_half(l0)
     n = delta0.total_order()
@@ -373,42 +331,26 @@ def selfadjoint_family(delta0: DensityOperator, l0, rho: VolumeForm,
 
     evens = list(evens)
     for k, op in enumerate(evens, start=1):
-        _require_weight_free(op)
+        op.require_weight_free()
         if not op.is_zero() and op.x_order() > n - 2 * k:
             raise OrderViolationError(
                 f"even coefficient #{k} has order {op.x_order()} > {n - 2 * k}")
 
-    # Taylor coefficients around 1/2: base operator rebased to half-densities
-    d_half = canonical_lift(delta0, l0, rho).restrict(HALF)
-
-    coeffs: Dict[int, DensityOperator] = {}
-    for k, op in enumerate(evens, start=1):
-        coeffs[2 * k] = op
-    max_even = 2 * len(evens)
-    for k in range(0, max_even // 2 + 1):
-        even_cur = d_half if k == 0 else coeffs.get(2 * k, DensityOperator.zero(dim))
-        even_next = coeffs.get(2 * k + 2, DensityOperator.zero(dim))
-        odd = (even_cur - sign * even_cur.adjoint()) * (ONE / den)
-        if not even_next.is_zero():
-            odd = odd + (even_next + sign * even_next.adjoint()) * (den / 4)
-        if not odd.is_zero():
-            coeffs[2 * k + 1] = odd
-
-    u = DensityOperator.lam_poly(dim, [-l0, ONE])              # L - l0
-    t = half_shift(dim)
-    inner = DensityOperator.zero(dim)
-    t_pow = DensityOperator.identity(dim)
-    for k in range(1, max(coeffs) + 1 if coeffs else 1):
-        dk = coeffs.get(k)
-        if dk is not None and not dk.is_zero():
-            inner = inner + t_pow @ canonical_lift(dk, HALF, rho)
-        t_pow = t_pow @ t
-    return canonical_lift(delta0, l0, rho) + u @ inner
+    # Taylor coefficients around 1/2, from the first on: the base operator
+    # rebased to half-densities and the evens each force the odd one after them
+    lifted = canonical_lift(delta0, l0, rho)
+    chain = [lifted.restrict(HALF)] + evens + [DensityOperator.zero(dim)]
+    coeffs = []
+    for even, even_next in zip(chain, chain[1:]):
+        coeffs += [(even - sign * even.adjoint()) * (ONE / den)
+                   + (even_next + sign * even_next.adjoint()) * (den / 4), even_next]
+    inner = taylor_assemble(coeffs[:-1], HALF, rho)
+    return DensityOperator.lam_poly(dim, [lifted, inner], l0)
 
 
 def limit_lift(delta: DensityOperator, rho: VolumeForm) -> DensityOperator:
     """Weight-0 limit of the canonical construction on normalized operators."""
-    _require_weight_free(delta)
+    delta.require_weight_free()
     if not delta.is_zero() and delta.x_order() > 2:
         raise OrderTooHighError("operator must have order at most 2")
     if not delta.app1().is_zero():

@@ -86,15 +86,15 @@ class DensityOperator:
         return DensityOperator(dim, {(1, ()): DiffPolynomial.const(1)})
 
     @staticmethod
-    def lam_poly(dim: int, coeffs: Sequence) -> "DensityOperator":
-        """Vertical polynomial sum_r coeffs[r] * L^r."""
-        terms: Dict[TermKey, DiffPolynomial] = {}
-        for r, c in enumerate(coeffs):
-            if isinstance(c, (int, Fraction, Scalar)):
-                c = DiffPolynomial.const(c)
-            if not c.is_zero():
-                terms[(r, ())] = c
-        return DensityOperator(dim, terms)
+    def lam_poly(dim: int, coeffs: Sequence, center=0) -> "DensityOperator":
+        """Weight polynomial sum_k coeffs[k] * (L - center)^k by Horner's rule;
+        a coefficient is a scalar, a coefficient function or an operator."""
+        shift = DensityOperator.weight(dim) - DensityOperator.identity(dim) * center
+        out = DensityOperator.zero(dim)
+        for c in reversed(coeffs):
+            out = shift @ out + (c if isinstance(c, DensityOperator)
+                                 else DensityOperator.function(dim, c))
+        return out
 
     # -- linear structure ----------------------------------------------------
 
@@ -226,9 +226,9 @@ class DensityOperator:
     def has_weight_factor(self) -> bool:
         return any(r for r, _ in self.terms)
 
-    def require_weight_free(self, what: str = "operator"):
+    def require_weight_free(self):
         if self.has_weight_factor():
-            raise HasWeightOperatorError(f"{what} must not contain the weight generator")
+            raise HasWeightOperatorError("operator must not contain the weight generator")
 
     def coefficient(self, r: int, alpha: Iterable[int]) -> DiffPolynomial:
         return self.terms.get((r, tuple(sorted(alpha))), DiffPolynomial.zero())
@@ -334,10 +334,9 @@ def multinomial(alpha: Tuple[int, ...]) -> int:
 def coefficient_tensors(op: DensityOperator) -> Dict[int, Tensor]:
     """Symmetric tensor components per order: c_alpha D^alpha summed over
     sorted alpha equals S^{i1..ik} D_i1..D_ik summed over all index tuples."""
+    op.require_weight_free()
     levels: Dict[int, Tensor] = {}
-    for (r, alpha), c in op.terms.items():
-        if r:
-            raise HasWeightOperatorError("symbol calculus expects a weight-free operator")
+    for (_, alpha), c in op.terms.items():
         weight = multinomial(alpha)
         levels.setdefault(len(alpha), {})[alpha] = c if weight == 1 else c * Fraction(1, weight)
     return levels

@@ -18,7 +18,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import BadPolynomialError, DimensionNotOneError
 from .jets import DiffPolynomial, JetSymbol, REGISTRY
-from .lifting import _require_not_half, even_t_family, extract_geometric_data, half_shift
+from .lifting import _require_not_half, even_t_family, extract_geometric_data
 from .operators import (
     DensityOperator,
     coefficient_tensors,
@@ -26,7 +26,7 @@ from .operators import (
     tensor_divergence,
     tensor_operator,
 )
-from .scalars import HALF, ONE, Scalar, render_sum
+from .scalars import HALF, ONE, ZERO, Scalar, render_sum
 
 # Reciprocal-jet symbols: w = 1/y_x with dw = -w^2 y_xx, and the pair (u, q)
 # with du = u^2, dq = -1 encoding u = 1/(1-x) for Moebius jets.
@@ -258,7 +258,7 @@ def proj_lift(delta: DensityOperator, l0) -> DensityOperator:
 def proj_decompose(delta: DensityOperator, l0) -> List[DensityOperator]:
     """Split into parts whose pencils each keep a fixed symbol."""
     l0 = Scalar.of(l0)
-    delta.require_weight_free("decomposition input")
+    delta.require_weight_free()
     if delta.is_zero():
         return [delta]
     n = delta.x_order()
@@ -314,7 +314,7 @@ def proj_sa_polynomials(n: int, l0, even_coeffs: Mapping[int, Sequence] = (),
     _require_not_half(l0)
     even_coeffs = dict(even_coeffs or {})
     odd_coeffs = dict(odd_coeffs or {})
-    odd_factor = half_shift(1) * (ONE / (l0 - HALF))
+    odd_factor = DensityOperator.lam_poly(1, [ZERO, ONE / (l0 - HALF)], HALF)
     out: List[List[Scalar]] = []
     for k in range(n + 1):
         given = (odd_coeffs if k % 2 else even_coeffs).get(k, ()) if k else ()

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from denslift.cli import (
+    MAX_DIGITS,
     MAX_EXPONENT,
     MAX_NESTING,
     SessionConfig,
@@ -149,6 +150,8 @@ def test_cli_readme_outputs_verbatim(capsys):
     readme = [
         (["--dim", "1", "--lambda0", "symbolic", "symbol", "a D1 D1 + b D1 + c"],
          "a*xi^2 + ((-1/2 - l0)*a_,1 + b)*xi + ((1/3*l0 + 2/3*l0^2)*a_,1_,1 - l0*b_,1 + c)"),
+        (["--dim", "1", "--volume", "generic", "taylor", "L f + D1"],
+         "[0] D1 + l0*f\n[1] (ell_,1 + f)"),
         (["check", "cocycle"],
          "PASS cocycle: Schwarzian cocycle law on identity, generic, and Moebius jets"),
     ]
@@ -187,6 +190,31 @@ def test_power_exponent_is_bounded(capsys):
     assert main(["adjoint", "L^200000 a"]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("syntax error: exponent above") and captured.err.count("\n") == 1
+
+
+def test_digit_runs_are_bounded(capsys):
+    assert parse_operator("9" * MAX_DIGITS, cfg()) == DensityOperator.function(1, int("9" * MAX_DIGITS))
+    long = "1" * 5000
+    forms = [("adjoint", long, 0), ("adjoint", f"L^{long}", 2), ("adjoint", f"a_,{long}", 3),
+             ("adjoint", f"S[{long}]", 2), ("adjoint", f"D{long}", 1), ("symbol", f"xi{long}", 2)]
+    for command, src, offset in forms:
+        with pytest.raises(ParseError) as info:
+            (parse_symbol if command == "symbol" else parse_operator)(src, cfg())
+        assert info.value.offset == offset
+        assert main([command, src]) == 2, src[:8]
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err.startswith("syntax error: digit run longer than")
+        assert captured.err.count("\n") == 1
+
+
+def test_weight_free_guard_has_one_message(capsys):
+    for argv in (["lift", "canonical", "L"], ["lift", "proj", "L"], ["symbol", "L"],
+                 ["assemble", "L"]):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err == "error: operator must not contain the weight generator\n"
 
 
 def test_cli_lift_second_exceptional_weight(capsys):

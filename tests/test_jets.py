@@ -1,6 +1,7 @@
 """Jet ring: total derivative, rules, substitution, ring axioms."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -91,6 +92,18 @@ def test_substitute_jets_rewrites_to_fixpoint():
     p = DiffPolynomial.jet("X", (2,), (1, 2, 2))
     once = p.substitute_jets(rule)
     assert once.substitute_jets(rule) == once
+
+
+def test_substitute_jets_stops_on_a_cycle():
+    a, b = DiffPolynomial.jet("a"), DiffPolynomial.jet("b")
+
+    def swap(sym):
+        return {"a": b, "b": a}.get(sym.base)
+
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"rewriting [ab] still applies"):
+        (a * a + b).substitute_jets(swap)
+    assert time.perf_counter() - start < 1
 
 
 _POOL = [

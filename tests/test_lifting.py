@@ -377,6 +377,14 @@ def test_taylor_round_trip():
         assert taylor_assemble(coeffs, l0, GEN) == op
         for k, c in enumerate(coeffs):
             assert c.is_zero() or c.x_order() <= op.total_order() - k
+        # one coefficient per power of L - l0, the last one nonzero: in
+        # coordinates the L-degree counts them, and a generic volume turns
+        # every D into D - (L - l0) Gamma before they are read off
+        flat = taylor_expand(op, l0, COORD)
+        assert len(flat) == op.lam_degree() + 1 and not flat[-1].is_zero()
+        assert len(coeffs) == op.total_order() + 1 and not coeffs[-1].is_zero()
+    for rho in (COORD, GEN):
+        assert taylor_expand(DensityOperator.zero(2), l0, rho) == [DensityOperator.zero(2)]
 
 
 def test_selfadjoint_family_reduces_to_distinguished():

@@ -86,6 +86,23 @@ def test_restrict_replaces_weight_powers():
     assert fn.restrict(Scalar.param("lam")) == fn
 
 
+def test_lam_poly_expands_around_its_center():
+    dim = 2
+    coeffs = [Scalar.param("k1"), DiffPolynomial.jet("f", (), (1,)),
+              D(dim, 1) @ DensityOperator.function(dim, g), Scalar.of(Fraction(-2, 3))]
+    for center in (Scalar.of(0), Scalar.param("l0"), Scalar.of(Fraction(1, 2))):
+        shift = L(dim) - DensityOperator.identity(dim) * center
+        expected = DensityOperator.zero(dim)
+        power = DensityOperator.identity(dim)
+        for c in coeffs:
+            term = c if isinstance(c, DensityOperator) else DensityOperator.function(dim, c)
+            expected = expected + power @ term
+            power = power @ shift
+        assert DensityOperator.lam_poly(dim, coeffs, center) == expected
+    assert DensityOperator.lam_poly(dim, coeffs) == DensityOperator.lam_poly(dim, coeffs, 0)
+    assert DensityOperator.lam_poly(dim, []).is_zero()
+
+
 def test_apply_weight_and_partial():
     s = generic_density(1)
     got = L(1).apply(s)
