@@ -2,6 +2,7 @@
 
 from .errors import (
     BadPolynomialError,
+    CoefficientTooLargeError,
     DensliftError,
     DimensionMismatchError,
     DimensionNotOneError,

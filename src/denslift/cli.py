@@ -101,8 +101,12 @@ MAX_NESTING = 100
 # int() meets the interpreter's limit on integer string length.
 MAX_DIGITS = 100
 _LONG_DIGITS_RE = re.compile(r"\d{%d}" % (MAX_DIGITS + 1))
-# Larger '^' exponents are rejected: a power composes one factor per unit.
+# Larger '^' exponents, or products of nested ones as in (A^3)^5, are
+# rejected: a power composes one factor per unit.
 MAX_EXPONENT = 12
+# A JSON term with a larger lpow + len(dmulti) is rejected: the adjoint expands
+# (1 - L)^lpow and pushes each derivative through the coefficient.
+MAX_TERM_ORDER = 2 * MAX_EXPONENT
 # Larger --dim values are rejected: work grows with the number of axes.
 MAX_DIM = 8
 
@@ -123,6 +127,8 @@ class _Parser:
         self.tokens = _tokenize(src)
         self.pos = 0
         self.depth = 0
+        # largest product of nested '^' exponents in the factors parsed so far
+        self.power = 1
         self.cfg = cfg
         self.symbol_mode = symbol_mode
 
@@ -198,7 +204,9 @@ class _Parser:
         return left @ right
 
     def factor(self):
+        outer, self.power = self.power, 1
         value = self.primary()
+        power = self.power
         while True:
             kind, val, off = self.peek()
             if kind == "op" and val == "_":
@@ -217,8 +225,12 @@ class _Parser:
                     raise ParseError("power needs a plain integer", noff)
                 if int(nval) > MAX_EXPONENT:
                     raise ParseError(f"exponent above {MAX_EXPONENT}", noff)
+                power *= int(nval)
+                if power > MAX_EXPONENT:
+                    raise ParseError(f"nested exponents multiply to above {MAX_EXPONENT}", off)
                 value = self._power(value, int(nval))
             else:
+                self.power = max(outer, power)
                 return value
 
     def _power(self, value, n: int):
@@ -325,6 +337,8 @@ def operator_from_json(text: str, cfg: SessionConfig) -> DensityOperator:
         if (type(r) is not int or not isinstance(alpha, list) or not isinstance(coeff, str)
                 or any(type(a) is not int for a in alpha)):
             raise SchemaError(f"mistyped term: lpow {r!r}, dmulti {alpha!r}, coeff {coeff!r}")
+        if r + len(alpha) > MAX_TERM_ORDER:
+            raise SchemaError(f"term of order {r + len(alpha)} above {MAX_TERM_ORDER}")
         f = _coefficient_function(parse_operator(coeff, cfg))
         if f is None:
             raise SchemaError(f"coeff {coeff!r} is not a coefficient function")

@@ -195,11 +195,11 @@ def sdiff_basis_map(op: DensityOperator, a1, a2, a3, b1, b2, c) -> DensityOperat
     zero = DiffPolynomial.zero()
     tensors = coefficient_tensors(op)
     S, T = tensors.get(2, {}), tensors.get(1, {})
-    div_s = tensor_divergence(S, dim)
+    div_s = tensor_divergence(S)
     terms = {(0, (k,)): div_s.get((k,), zero) * a2 + T.get((k,), zero) * b1
              for k in range(1, dim + 1)}
-    terms[(0, ())] = (tensor_divergence(div_s, dim).get((), zero) * a3
-                      + tensor_divergence(T, dim).get((), zero) * b2
+    terms[(0, ())] = (tensor_divergence(div_s).get((), zero) * a3
+                      + tensor_divergence(T).get((), zero) * b2
                       + tensors.get(0, {}).get((), zero) * c)
     return tensor_operator(S, dim) * a1 + DensityOperator(dim, terms)
 

@@ -9,6 +9,10 @@ class ZeroDenominatorError(DensliftError):
     """A substitution or division made a scalar denominator vanish identically."""
 
 
+class CoefficientTooLargeError(DensliftError):
+    """A rational coefficient has more digits than the interpreter will print."""
+
+
 class DuplicateSymbolError(DensliftError):
     """A jet symbol base was registered twice."""
 

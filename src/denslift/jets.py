@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple
 
 from .errors import DuplicateSymbolError
-from .scalars import Scalar, render_sum
+from .scalars import Scalar, collect, mono_mul, render_sum
 
 
 @dataclass(frozen=True, order=True)
@@ -120,17 +120,6 @@ def _coordinate_rule(symbol: JetSymbol, axis: int) -> "DiffPolynomial":
 REGISTRY.ensure("x", _coordinate_rule)
 
 
-def _mono_mul(a: JetMono, b: JetMono) -> JetMono:
-    if not a:
-        return b
-    if not b:
-        return a
-    out = dict(a)
-    for s, e in b:
-        out[s] = out.get(s, 0) + e
-    return tuple(sorted(out.items(), key=lambda kv: kv[0]))
-
-
 class DiffPolynomial:
     """Finite Scalar-linear combination of jet monomials; immutable by convention."""
 
@@ -184,16 +173,7 @@ class DiffPolynomial:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other) -> "DiffPolynomial":
-        other = _coerce(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            if s is None:
-                out[m] = c
-            else:
-                s = s + c
-                out[m] = s
-        return DiffPolynomial(out)
+        return DiffPolynomial(collect(_coerce(other).terms.items(), dict(self.terms)))
 
     __radd__ = __add__
 
@@ -212,14 +192,9 @@ class DiffPolynomial:
             if s.is_zero():
                 return DiffPolynomial()
             return DiffPolynomial({m: c * s for m, c in self.terms.items()})
-        other = _coerce(other)
-        out: Dict[JetMono, Scalar] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                m = _mono_mul(ma, mb)
-                s = out.get(m)
-                out[m] = ca * cb if s is None else s + ca * cb
-        return DiffPolynomial(out)
+        rhs = _coerce(other).terms.items()
+        return DiffPolynomial(collect((mono_mul(ma, mb), ca * cb)
+                                      for ma, ca in self.terms.items() for mb, cb in rhs))
 
     __rmul__ = __mul__
 
@@ -248,33 +223,27 @@ class DiffPolynomial:
 
     def derive(self, axis: int) -> "DiffPolynomial":
         """Total derivative along an axis (Leibniz over monomial factors)."""
-        out: Dict[JetMono, Scalar] = {}
-        for m, c in self.terms.items():
-            for k, (sym, exp) in enumerate(m):
-                dsym = _derive_symbol(sym, axis)
-                if dsym.is_zero():
-                    continue
-                rest = list(m)
-                if exp == 1:
-                    del rest[k]
-                else:
-                    rest[k] = (sym, exp - 1)
-                rest_mono = tuple(rest)
-                scale = c * exp
-                for dm, dc in dsym.terms.items():
-                    mono = _mono_mul(rest_mono, dm)
-                    add = scale * dc
-                    prev = out.get(mono)
-                    out[mono] = add if prev is None else prev + add
-        return DiffPolynomial(out)
+
+        def leibniz():
+            for m, c in self.terms.items():
+                for k, (sym, exp) in enumerate(m):
+                    dsym = _derive_symbol(sym, axis)
+                    if dsym.is_zero():
+                        continue
+                    rest = list(m)
+                    if exp == 1:
+                        del rest[k]
+                    else:
+                        rest[k] = (sym, exp - 1)
+                    rest_mono = tuple(rest)
+                    scale = c * exp
+                    for dm, dc in dsym.terms.items():
+                        yield mono_mul(rest_mono, dm), scale * dc
+
+        return DiffPolynomial(collect(leibniz()))
 
     def substitute_params(self, bindings: Mapping[str, Scalar]) -> "DiffPolynomial":
-        out: Dict[JetMono, Scalar] = {}
-        for m, c in self.terms.items():
-            s = c.substitute(bindings)
-            prev = out.get(m)
-            out[m] = s if prev is None else prev + s
-        return DiffPolynomial(out)
+        return DiffPolynomial({m: c.substitute(bindings) for m, c in self.terms.items()})
 
     def substitute_jets(self, rewrite: Callable[[JetSymbol], Optional["DiffPolynomial"]]
                         ) -> "DiffPolynomial":
@@ -305,8 +274,8 @@ class DiffPolynomial:
         pairs = tuple(pairs)
         if not pairs:
             return self
-        out: Dict[JetMono, Scalar] = {}
-        for m, c in self.terms.items():
+
+        def reduce(m: JetMono) -> JetMono:
             d = dict(m)
             for a, bsym in pairs:
                 k = min(d.get(a, 0), d.get(bsym, 0))
@@ -316,10 +285,9 @@ class DiffPolynomial:
                             del d[s]
                         else:
                             d[s] -= k
-            mm = tuple(sorted(d.items(), key=lambda kv: kv[0]))
-            prev = out.get(mm)
-            out[mm] = c if prev is None else prev + c
-        return DiffPolynomial(out)
+            return tuple(sorted(d.items(), key=lambda kv: kv[0]))
+
+        return DiffPolynomial(collect((reduce(m), c) for m, c in self.terms.items()))
 
     # -- display -----------------------------------------------------------
 

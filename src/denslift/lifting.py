@@ -31,7 +31,7 @@ from .operators import (
     tensor_operator,
     vector_divergence,
 )
-from .scalars import HALF, ONE, Scalar, ZERO
+from .scalars import HALF, ONE, Scalar, ZERO, collect
 
 REGISTRY.ensure("ell")
 
@@ -242,7 +242,7 @@ def extract_geometric_data(delta: DensityOperator, l0) -> GeometricData:
     _require_generic(l0)
     dim = delta.dim
     S = coefficient_tensors(delta).get(2, {})
-    div_s = tensor_divergence(S, dim)
+    div_s = tensor_divergence(S)
     den = 2 * l0 - 1
     zero = DiffPolynomial.zero()
     gamma = [(delta.coefficient(0, (i,)) - div_s.get((i,), zero)) * (ONE / den)
@@ -255,7 +255,7 @@ def extract_geometric_data(delta: DensityOperator, l0) -> GeometricData:
 def assemble_self_adjoint_second_order(data: GeometricData) -> DensityOperator:
     """S D D + (div S) D + (2L - 1) gamma D + L div gamma + L(L-1) theta + F."""
     dim = data.dim
-    div_s = tensor_divergence(data.S, dim)
+    div_s = tensor_divergence(data.S)
     zero = DiffPolynomial.zero()
     terms = {}
     for i, g in enumerate(data.gamma, start=1):
@@ -296,13 +296,10 @@ def taylor_expand(op: DensityOperator, l0, rho: VolumeForm) -> List[DensityOpera
         op = op.substitute_partials(covariant_partials(op.dim, l0, rho, -1))
     top = op.lam_degree() if op.terms else 0
     l0_pows = [l0 ** j for j in range(top + 1)]
-    shifted: List[Dict[Tuple[int, Tuple[int, ...]], DiffPolynomial]] = [{} for _ in l0_pows]
-    for (r, alpha), c in op.terms.items():
-        for k in range(r + 1):
-            add = c * (comb(r, k) * l0_pows[r - k])
-            prev = shifted[k].get((0, alpha))
-            shifted[k][(0, alpha)] = add if prev is None else prev + add
-    return [DensityOperator(op.dim, terms) for terms in shifted]
+    shifted = collect(((k, alpha), c * (comb(r, k) * l0_pows[r - k]))
+                      for (r, alpha), c in op.terms.items() for k in range(r + 1))
+    return [DensityOperator(op.dim, {(0, alpha): c for (j, alpha), c in shifted.items() if j == k})
+            for k in range(top + 1)]
 
 
 def taylor_assemble(coeffs: Sequence[DensityOperator], l0, rho: VolumeForm) -> DensityOperator:
@@ -357,7 +354,7 @@ def limit_lift(delta: DensityOperator, rho: VolumeForm) -> DensityOperator:
         raise NotNormalizedError("operator must annihilate the constant function")
     dim = delta.dim
     S = coefficient_tensors(delta).get(2, {})
-    div_s = tensor_divergence(S, dim)
+    div_s = tensor_divergence(S)
     zero = DiffPolynomial.zero()
     gamma = [div_s.get((i,), zero) - delta.coefficient(0, (i,)) for i in range(1, dim + 1)]
 

@@ -24,7 +24,7 @@ from .errors import (
     ZeroOperatorError,
 )
 from .jets import DiffPolynomial
-from .scalars import Scalar, render_sum
+from .scalars import Scalar, collect, render_sum
 
 TermKey = Tuple[int, Tuple[int, ...]]
 
@@ -50,14 +50,13 @@ class DensityOperator:
         if dim < 1:
             raise ValueError("dimension must be at least 1")
         self.dim = dim
-        self.terms = {}
-        for (r, alpha), coeff in (terms or {}).items():
-            alpha = tuple(sorted(alpha))
+        # D_i commute, so keys equal up to the order of alpha add up
+        summed = collect(((r, tuple(sorted(alpha))), c) for (r, alpha), c in (terms or {}).items())
+        for r, alpha in summed:
             if r < 0 or alpha and (alpha[0] < 1 or alpha[-1] > dim):
                 raise ValueError(f"term key {(r, alpha)}: need a weight power >= 0 "
                                  f"and axes in 1..{dim}")
-            if not coeff.is_zero():
-                self.terms[(r, alpha)] = coeff
+        self.terms = {k: c for k, c in summed.items() if not c.is_zero()}
 
     # -- constructors ------------------------------------------------------
 
@@ -104,11 +103,7 @@ class DensityOperator:
 
     def __add__(self, other: "DensityOperator") -> "DensityOperator":
         self._check_dim(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            prev = out.get(key)
-            out[key] = c if prev is None else prev + c
-        return DensityOperator(self.dim, out)
+        return DensityOperator(self.dim, collect(other.terms.items(), dict(self.terms)))
 
     def __neg__(self) -> "DensityOperator":
         return DensityOperator(self.dim, {k: -c for k, c in self.terms.items()})
@@ -140,31 +135,21 @@ class DensityOperator:
     def compose(self, other: "DensityOperator") -> "DensityOperator":
         """Normal form of self o other."""
         self._check_dim(other)
-        out: Dict[TermKey, DiffPolynomial] = {}
-        for (r1, alpha1), c1 in self.terms.items():
-            for (r2, alpha2), c2 in other.terms.items():
-                # D^alpha1 o c2 = sum_beta coeff_beta D^beta  (Leibniz)
-                for beta, g in _push_derivatives(alpha1, c2).items():
-                    key = (r1 + r2, tuple(sorted(beta + alpha2)))
-                    add = c1 * g
-                    prev = out.get(key)
-                    out[key] = add if prev is None else prev + add
-        return DensityOperator(self.dim, out)
+        # D^alpha1 o c2 = sum_beta coeff_beta D^beta  (Leibniz)
+        return DensityOperator(self.dim, collect(
+            ((r1 + r2, tuple(sorted(beta + alpha2))), c1 * g)
+            for (r1, alpha1), c1 in self.terms.items()
+            for (r2, alpha2), c2 in other.terms.items()
+            for beta, g in _push_derivatives(alpha1, c2).items()))
 
     def adjoint(self) -> "DensityOperator":
         """Formal adjoint: L -> 1 - L, D -> -D, f -> f, products reversed."""
-        out: Dict[TermKey, DiffPolynomial] = {}
-        for (r, alpha), c in self.terms.items():
-            sign = -1 if len(alpha) % 2 else 1
-            # (-1)^|alpha| (1-L)^r (D^alpha o c), with (1-L)^r expanded into L powers
-            for beta, g in _push_derivatives(alpha, c).items():
-                for j in range(r + 1):
-                    k = comb(r, j) * ((-1) ** j) * sign
-                    key = (j, tuple(sorted(beta)))
-                    add = g * Fraction(k)
-                    prev = out.get(key)
-                    out[key] = add if prev is None else prev + add
-        return DensityOperator(self.dim, out)
+        # (-1)^|alpha| (1-L)^r (D^alpha o c), with (1-L)^r expanded into L powers
+        return DensityOperator(self.dim, collect(
+            ((j, beta), g * Fraction(comb(r, j) * (-1) ** (j + len(alpha))))
+            for (r, alpha), c in self.terms.items()
+            for beta, g in _push_derivatives(alpha, c).items()
+            for j in range(r + 1)))
 
     def commutator(self, other: "DensityOperator") -> "DensityOperator":
         return self @ other - other @ self
@@ -175,15 +160,11 @@ class DensityOperator:
         """Replace the weight generator by a fixed scalar weight."""
         lam = Scalar.of(lam)
         powers = {0: Scalar.of(1)}
-        out: Dict[TermKey, DiffPolynomial] = {}
-        for (r, alpha), c in self.terms.items():
+        for r, _ in self.terms:
             if r not in powers:
                 powers[r] = lam ** r
-            key = (0, alpha)
-            add = c * powers[r]
-            prev = out.get(key)
-            out[key] = add if prev is None else prev + add
-        return DensityOperator(self.dim, out)
+        return DensityOperator(self.dim, collect(
+            ((0, alpha), c * powers[r]) for (r, alpha), c in self.terms.items()))
 
     def apply(self, s: Density) -> Density:
         out = DiffPolynomial.zero()
@@ -281,18 +262,18 @@ class DensityOperator:
 def _push_derivatives(alpha: Tuple[int, ...], coeff: DiffPolynomial
                       ) -> Dict[Tuple[int, ...], DiffPolynomial]:
     """Normal-order D^alpha o coeff as sum_beta out[beta] D^beta."""
-    table = {(): coeff}
-    for axis in alpha:
-        new: Dict[Tuple[int, ...], DiffPolynomial] = {}
+
+    def leibniz(table, axis):
+        # D_axis o g = g D_axis + d_axis(g)
         for beta, g in table.items():
-            up = tuple(sorted(beta + (axis,)))
-            prev = new.get(up)
-            new[up] = g if prev is None else prev + g
+            yield tuple(sorted(beta + (axis,))), g
             dg = g.derive(axis)
             if not dg.is_zero():
-                prev = new.get(beta)
-                new[beta] = dg if prev is None else prev + dg
-        table = new
+                yield beta, dg
+
+    table = {(): coeff}
+    for axis in alpha:
+        table = collect(leibniz(table, axis))
     return table
 
 
@@ -322,11 +303,8 @@ Tensor = Dict[Tuple[int, ...], DiffPolynomial]
 def multinomial(alpha: Tuple[int, ...]) -> int:
     """Number of orderings of the multi-index: the weight of a symmetric
     tensor component in the operator coefficient of D^alpha."""
-    counts: Dict[int, int] = {}
-    for a in alpha:
-        counts[a] = counts.get(a, 0) + 1
     out = factorial(len(alpha))
-    for c in counts.values():
+    for c in collect((a, 1) for a in alpha).values():
         out //= factorial(c)
     return out
 
@@ -342,25 +320,12 @@ def coefficient_tensors(op: DensityOperator) -> Dict[int, Tensor]:
     return levels
 
 
-def tensor_divergence(tensor: Tensor, dim: int) -> Tensor:
+def tensor_divergence(tensor: Tensor) -> Tensor:
     """Contraction d_p S^{p i2..ik} of a symmetric tensor keyed by sorted indices."""
-    out: Tensor = {}
-    rank = len(next(iter(tensor))) if tensor else 0
-    if rank == 0:
-        return {}
-    seen = set()
-    for idx in tensor:
-        for gamma in {tuple(sorted(idx[:pos] + idx[pos + 1:])) for pos in range(rank)}:
-            seen.add(gamma)
-    for gamma in seen:
-        total = DiffPolynomial.zero()
-        for p in range(1, dim + 1):
-            comp = tensor.get(tuple(sorted(gamma + (p,))))
-            if comp is not None:
-                total = total + comp.derive(p)
-        if not total.is_zero():
-            out[gamma] = total
-    return out
+    # S^idx enters once per distinct index p in idx: d_p S^idx at idx less one p
+    summed = collect((idx[:k] + idx[k + 1:], c.derive(p)) for idx, c in tensor.items()
+                     for k, p in enumerate(idx) if not k or idx[k - 1] != p)
+    return {gamma: t for gamma, t in summed.items() if not t.is_zero()}
 
 
 def tensor_operator(tensor: Tensor, dim: int) -> DensityOperator:

@@ -26,7 +26,7 @@ from .operators import (
     tensor_divergence,
     tensor_operator,
 )
-from .scalars import HALF, ONE, ZERO, Scalar, render_sum
+from .scalars import HALF, ONE, ZERO, Scalar, collect, render_sum
 
 # Reciprocal-jet symbols: w = 1/y_x with dw = -w^2 y_xx, and the pair (u, q)
 # with du = u^2, dq = -1 encoding u = 1/(1-x) for Moebius jets.
@@ -45,10 +45,9 @@ class SymbolPoly:
 
     def __init__(self, dim: int, terms: Optional[Dict[Tuple[int, ...], DiffPolynomial]] = None):
         self.dim = dim
-        self.terms = {}
-        for beta, c in (terms or {}).items():
-            if not c.is_zero():
-                self.terms[tuple(sorted(beta))] = c
+        # fiber variables commute, so keys equal up to order add up
+        summed = collect((tuple(sorted(beta)), c) for beta, c in (terms or {}).items())
+        self.terms = {b: c for b, c in summed.items() if not c.is_zero()}
 
     @staticmethod
     def zero(dim: int) -> "SymbolPoly":
@@ -67,11 +66,7 @@ class SymbolPoly:
         return self.terms.get(tuple(sorted(beta)), DiffPolynomial.zero())
 
     def __add__(self, other: "SymbolPoly") -> "SymbolPoly":
-        out = dict(self.terms)
-        for b, c in other.terms.items():
-            prev = out.get(b)
-            out[b] = c if prev is None else prev + c
-        return SymbolPoly(self.dim, out)
+        return SymbolPoly(self.dim, collect(other.terms.items(), dict(self.terms)))
 
     def __neg__(self) -> "SymbolPoly":
         return SymbolPoly(self.dim, {b: -c for b, c in self.terms.items()})
@@ -81,14 +76,9 @@ class SymbolPoly:
 
     def __mul__(self, factor) -> "SymbolPoly":
         if isinstance(factor, SymbolPoly):
-            out: Dict[Tuple[int, ...], DiffPolynomial] = {}
-            for b1, c1 in self.terms.items():
-                for b2, c2 in factor.terms.items():
-                    key = tuple(sorted(b1 + b2))
-                    add = c1 * c2
-                    prev = out.get(key)
-                    out[key] = add if prev is None else prev + add
-            return SymbolPoly(self.dim, out)
+            return SymbolPoly(self.dim, collect(
+                (b1 + b2, c1 * c2) for b1, c1 in self.terms.items()
+                for b2, c2 in factor.terms.items()))
         return SymbolPoly(self.dim, {b: c * factor for b, c in self.terms.items()})
 
     __rmul__ = __mul__
@@ -100,41 +90,26 @@ class SymbolPoly:
 
     def lie_derive(self, components: Sequence[DiffPolynomial]) -> "SymbolPoly":
         """Canonical cotangent lift: X^i df/dx^i - xi_p dX^p/dx^i df/dxi_i."""
-        out: Dict[Tuple[int, ...], DiffPolynomial] = {}
 
-        def bump(beta, poly):
-            if poly.is_zero():
-                return
-            key = tuple(sorted(beta))
-            prev = out.get(key)
-            out[key] = poly if prev is None else prev + poly
+        def pieces():
+            for beta, c in self.terms.items():
+                for i, comp in enumerate(components, start=1):
+                    yield beta, comp * c.derive(i)
+                for i in sorted(set(beta)):
+                    reduced = list(beta)
+                    reduced.remove(i)
+                    for p in range(1, self.dim + 1):
+                        d_x = components[p - 1].derive(i)
+                        if not d_x.is_zero():
+                            yield tuple(reduced) + (p,), -Fraction(beta.count(i)) * d_x * c
 
-        for beta, c in self.terms.items():
-            for i, comp in enumerate(components, start=1):
-                bump(beta, comp * c.derive(i))
-            seen = set()
-            for pos, i in enumerate(beta):
-                if i in seen:
-                    continue
-                seen.add(i)
-                mult = beta.count(i)
-                reduced = list(beta)
-                reduced.remove(i)
-                for p in range(1, self.dim + 1):
-                    d_x = components[p - 1].derive(i)
-                    if d_x.is_zero():
-                        continue
-                    bump(tuple(reduced) + (p,), -Fraction(mult) * d_x * c)
-        return SymbolPoly(self.dim, out)
+        return SymbolPoly(self.dim, collect(pieces()))
 
     def render(self) -> str:
         terms = []
         for beta in sorted(self.terms, key=lambda b: (-len(b), b)):
-            powers: Dict[int, int] = {}
-            for i in beta:
-                powers[i] = powers.get(i, 0) + 1
             factors = [("xi" if self.dim == 1 else f"xi{i}") + ("" if e == 1 else f"^{e}")
-                       for i, e in sorted(powers.items())]
+                       for i, e in sorted(collect((i, 1) for i in beta).items())]
             terms.append((self.terms[beta], factors))
         return render_sum(terms)
 
@@ -187,7 +162,7 @@ def full_symbol(op: DensityOperator, lam) -> SymbolPoly:
             if not current:
                 break
             out = out + _tensor_to_symbol(current, op.dim, symbol_coeff(n, k, lam, op.dim))
-            current = tensor_divergence(current, op.dim)
+            current = tensor_divergence(current)
         # order-0 coefficients have an empty divergence chain after k = 0
     return out
 
@@ -409,26 +384,13 @@ def coordinate_change_1d(op: DensityOperator, phi: DiffeoJet1D) -> DensityOperat
     expansions: List[Dict[int, DiffPolynomial]] = [{0: DiffPolynomial.const(1)}]
     max_k = max((len(alpha) for _, alpha in conj.terms), default=0)
     for _ in range(max_k):
-        prev = expansions[-1]
-        nxt: Dict[int, DiffPolynomial] = {}
-        for j, e in prev.items():
-            de = phi.d_y(e)
-            if not de.is_zero():
-                cur = nxt.get(j)
-                nxt[j] = phi.y1 * de if cur is None else cur + phi.y1 * de
-            cur = nxt.get(j + 1)
-            add = phi.y1 * e
-            nxt[j + 1] = add if cur is None else cur + add
-        expansions.append(nxt)
-
-    terms: Dict[Tuple[int, Tuple[int, ...]], DiffPolynomial] = {}
-    for (r, alpha), c in conj.terms.items():
-        for j, e in expansions[len(alpha)].items():
-            key = (r, (1,) * j)
-            add = c * e
-            prev = terms.get(key)
-            terms[key] = add if prev is None else prev + add
-    return phi.reduce(DensityOperator(1, terms))
+        # y1 D_y o e = y1 d_y(e) + y1 e D_y, skipping a zero d_y(e)
+        expansions.append(collect(
+            (j + k, phi.y1 * f) for j, e in expansions[-1].items()
+            for k, f in ((0, phi.d_y(e)), (1, e)) if k or not f.is_zero()))
+    return phi.reduce(DensityOperator(1, collect(
+        ((r, (1,) * j), c * e) for (r, alpha), c in conj.terms.items()
+        for j, e in expansions[len(alpha)].items())))
 
 
 def transformed_schwarzian_data(delta: DensityOperator, l0,

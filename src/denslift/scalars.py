@@ -9,26 +9,45 @@ pairs; polynomials are dicts from monomial to Fraction with no zero entries.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
+from operator import itemgetter
 from typing import Dict, Mapping, Tuple, Union
 
-from .errors import ZeroDenominatorError
+from .errors import CoefficientTooLargeError, ZeroDenominatorError
 
 Mono = Tuple[Tuple[str, int], ...]
 Poly = Dict[Mono, Fraction]
 
 _ONE_MONO: Mono = ()
 
+# Factors in a monomial are distinct, so sorting on them alone gives the order
+# of the pairs without first testing factors for equality (JetSymbol.__eq__).
+_by_factor = itemgetter(0)
 
-def _mono_mul(a: Mono, b: Mono) -> Mono:
+
+def collect(pairs, out=None):
+    """Sum the values of equal keys over (key, value) pairs into ``out``, a new
+    dict by default.  Zero sums stay: the owning constructor drops them."""
+    if out is None:
+        out = {}
+    for key, value in pairs:
+        prev = out.get(key)
+        out[key] = value if prev is None else prev + value
+    return out
+
+
+def mono_mul(a, b):
+    """Product of monomials stored as tuples of (factor, exponent) pairs
+    sorted by factor: parameter names here, jet symbols in ``jets``."""
     if not a:
         return b
     if not b:
         return a
     out = dict(a)
-    for name, exp in b:
-        out[name] = out.get(name, 0) + exp
-    return tuple(sorted(out.items()))
+    for factor, exp in b:
+        out[factor] = out.get(factor, 0) + exp
+    return tuple(sorted(out.items(), key=_by_factor))
 
 
 def _mono_div(a: Mono, b: Mono):
@@ -86,7 +105,7 @@ def _pmul(a: Poly, b: Poly) -> Poly:
     out: Poly = {}
     for ma, ca in a.items():
         for mb, cb in b.items():
-            m = _mono_mul(ma, mb)
+            m = mono_mul(ma, mb)
             s = out.get(m)
             if s is None:
                 out[m] = ca * cb
@@ -146,11 +165,8 @@ def _split_by_var(p: Poly, v: str):
 
 
 def _join_by_var(coeffs: Dict[int, Poly], v: str) -> Poly:
-    out: Poly = {}
-    for e, q in coeffs.items():
-        for m, c in q.items():
-            mm = _mono_mul(m, ((v, e),)) if e else m
-            out[mm] = out.get(mm, Fraction(0)) + c
+    out = collect((mono_mul(m, ((v, e),)) if e else m, c)
+                  for e, q in coeffs.items() for m, c in q.items())
     return {m: c for m, c in out.items() if c}
 
 
@@ -254,6 +270,14 @@ def render_sum(terms) -> str:
 
 
 def _pstr(p: Poly) -> str:
+    # str() of an int with more digits than the interpreter's int-string limit
+    # raises ValueError.  Such an int is >= 10^limit > 2^(3 limit), so the
+    # bit-length test keeps the exact comparison off ordinary coefficients.
+    limit = sys.get_int_max_str_digits()
+    for c in p.values():
+        big = max(abs(c.numerator), c.denominator)
+        if limit and big.bit_length() > 3 * limit and big >= 10 ** limit:
+            raise CoefficientTooLargeError(f"a coefficient has more than {limit} digits")
     return render_sum(
         (p[m], [name if exp == 1 else f"{name}^{exp}" for name, exp in m])
         for m in sorted(p, key=lambda m: (sum(e for _, e in m), m)))

@@ -2,6 +2,8 @@
 
 import json
 import random
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,13 +12,14 @@ from denslift.cli import (
     MAX_DIGITS,
     MAX_EXPONENT,
     MAX_NESTING,
+    MAX_TERM_ORDER,
     SessionConfig,
     main,
     operator_from_json,
     parse_operator,
     parse_symbol,
 )
-from denslift.errors import IndexRangeError, ParseError, SchemaError
+from denslift.errors import CoefficientTooLargeError, IndexRangeError, ParseError, SchemaError
 from denslift.jets import DiffPolynomial
 from denslift.operators import DensityOperator
 from denslift.projective import SymbolPoly
@@ -134,10 +137,18 @@ def test_json_ingestion_rejects_malformed_input():
         '{"schema": "denslift/1"}',
         '[]',
         'not json',
+        f'{{"terms": [{{"lpow": {MAX_TERM_ORDER - 1}, "dmulti": [1, 1], "coeff": "1"}}]}}',
     ]
     for text in bad:
         with pytest.raises(SchemaError):
             operator_from_json(text, cfg(dim=1))
+    # a term of order 3000000 is rejected before the adjoint could expand (1 - L)^3000000
+    start = time.perf_counter()
+    with pytest.raises(SchemaError):
+        operator_from_json('{"terms": [{"lpow": 3000000, "dmulti": [], "coeff": "1"}]}', cfg(dim=1))
+    assert time.perf_counter() - start < 1
+    top = f'{{"terms": [{{"lpow": {MAX_TERM_ORDER - 1}, "dmulti": [1], "coeff": "1"}}]}}'
+    assert operator_from_json(top, cfg(dim=1)).total_order() == MAX_TERM_ORDER
 
 
 def test_cli_adjoint_of_weight(capsys):
@@ -190,6 +201,35 @@ def test_power_exponent_is_bounded(capsys):
     assert main(["adjoint", "L^200000 a"]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("syntax error: exponent above") and captured.err.count("\n") == 1
+    # nested exponents multiply: their product is bounded, checked at the outer '^'
+    assert parse_operator("(L^3)^4 a", c) == parse_operator(f"L^{MAX_EXPONENT} a", c)
+    assert parse_operator("(L^3 D1^2)^4", c) == parse_operator("L^12 D1^8", c)
+    assert parse_symbol("(a xi^3)^4", c) == parse_symbol("a^4 xi^12", c)
+    for parse, src in ((parse_operator, "(L^3)^5"), (parse_operator, "((D1 + f)^12)^12"),
+                       (parse_operator, "L^3^5"), (parse_symbol, "((xi + a)^2 b)^7")):
+        with pytest.raises(ParseError) as info:
+            parse(src, c)
+        assert info.value.offset == src.rindex("^"), src
+    start = time.perf_counter()
+    assert main(["adjoint", "((D1 + f)^12)^12"]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("syntax error: nested exponents") and captured.err.count("\n") == 1
+
+
+def test_coefficients_past_the_int_string_limit_exit_1(capsys):
+    limit = sys.get_int_max_str_digits()
+    assert str(Scalar.of(10 ** limit - 1)) == "9" * limit
+    for too_long in (Scalar.of(10 ** limit), Scalar.of(Fraction(-1, 10 ** limit)),
+                     Scalar.param("l0") + 10 ** limit):
+        with pytest.raises(CoefficientTooLargeError):
+            str(too_long)
+    n = "9" * MAX_DIGITS
+    for flags in ([], ["--json"]):
+        assert main(flags + ["adjoint", f"{n}^12 {n}^12 {n}^12 {n}^12"]) == 1
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err == f"error: a coefficient has more than {limit} digits\n"
 
 
 def test_digit_runs_are_bounded(capsys):

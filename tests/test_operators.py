@@ -215,7 +215,10 @@ def test_constructor_rejects_keys_outside_the_operator_space():
             DensityOperator(1, {key: f})
     with pytest.raises(ValueError):
         DensityOperator(1, {(0, (3,)): f, (-1, ()): DiffPolynomial.const(1)})
-    assert DensityOperator(2, {(2, (2, 1)): f}).terms == {(2, (1, 2)): f}
+    # keys equal up to the order of alpha name one term: their coefficients add
+    g = DiffPolynomial.jet("g")
+    assert DensityOperator(2, {(2, (2, 1)): f, (2, (1, 2)): g}).terms == {(2, (1, 2)): f + g}
+    assert DensityOperator(2, {(0, (1, 2)): f, (0, (2, 1)): g}).render() == "(f + g)*D1*D2"
 
 
 def test_json_shape():

@@ -73,6 +73,14 @@ def test_full_symbol_rejects_weight_terms():
         full_symbol(DensityOperator.weight(1), lam)
 
 
+def test_symbol_constructor_adds_colliding_keys():
+    # xi1 xi2 = xi2 xi1: both keys name one term, and neither coefficient is lost
+    sym = SymbolPoly(2, {(1, 2): a, (2, 1): b})
+    assert sym.terms == {(1, 2): a + b}
+    assert sym.render() == "(a + b)*xi1*xi2"
+    assert SymbolPoly(2, {(1, 2): a, (2, 1): -a}).is_zero()
+
+
 def test_quantize_second_order_line():
     sym = SymbolPoly(1, {(1, 1): a, (1,): b, (): c})
     got = quantize(sym, lam)
