@@ -5,7 +5,8 @@ Operators are written as sums of juxtaposed atoms, where juxtaposition (and
 with multiplication by f.  Atoms are rational literals, declared parameters,
 jet symbols like ``S[1,2]`` with repeatable derivative suffixes ``_,i``, the
 generators ``D1..Dd``, the weight generator ``L``, and parenthesized
-subexpressions.  Symbol expressions additionally use ``xi`` / ``xi1..xid``.
+subexpressions.  Symbol expressions use ``xi`` / ``xi1..xid`` in place of
+``D1..Dd`` and ``L``; each grammar rejects the other's generators.
 
 Exit codes: 0 on success, 1 on domain errors, 2 on syntax or flag errors.
 """
@@ -13,6 +14,7 @@ Exit codes: 0 on success, 1 on domain errors, 2 on syntax or flag errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import re
@@ -212,23 +214,18 @@ class _Parser:
             if kind == "op" and val == "_":
                 self.next()
                 self.expect(",")
-                nkind, nval, noff = self.next()
-                if nkind != "num" or "/" in nval:
-                    raise ParseError("derivative suffix needs an axis number", noff)
-                axis = int(nval)
-                self._check_axis(axis, noff)
+                axis, _ = self._integer("derivative suffix needs an axis number")
+                self._check_axis(axis)
                 value = self._derive_atom(value, axis, off)
             elif kind == "op" and val == "^":
                 self.next()
-                nkind, nval, noff = self.next()
-                if nkind != "num" or "/" in nval:
-                    raise ParseError("power needs a plain integer", noff)
-                if int(nval) > MAX_EXPONENT:
+                n, noff = self._integer("power needs a plain integer")
+                if n > MAX_EXPONENT:
                     raise ParseError(f"exponent above {MAX_EXPONENT}", noff)
-                power *= int(nval)
+                power *= n
                 if power > MAX_EXPONENT:
                     raise ParseError(f"nested exponents multiply to above {MAX_EXPONENT}", off)
-                value = self._power(value, int(nval))
+                value = self._power(value, n)
             else:
                 self.power = max(outer, power)
                 return value
@@ -252,14 +249,24 @@ class _Parser:
                              else "derivative suffix only applies to coefficient atoms", offset)
         return self._const(coeff.derive(axis))
 
-    def _check_axis(self, axis: int, offset: int):
+    def _integer(self, message: str) -> Tuple[int, int]:
+        """The next token as a plain integer, with its offset."""
+        kind, val, off = self.next()
+        if kind != "num" or "/" in val:
+            raise ParseError(message, off)
+        return int(val), off
+
+    def _check_axis(self, axis: int):
         if not 1 <= axis <= self.cfg.dim:
             raise IndexRangeError(f"index {axis} outside 1..{self.cfg.dim}")
 
     def primary(self):
         kind, val, off = self.next()
         if kind == "num":
-            scalar = Scalar.of(Fraction(val))
+            try:
+                scalar = Scalar.of(Fraction(val))
+            except ZeroDivisionError:
+                raise ParseError(f"zero denominator in {val}", off) from None
             return self._const(scalar)
         if kind == "op" and val == "(":
             self.depth += 1
@@ -271,19 +278,22 @@ class _Parser:
             return inner
         if kind != "name":
             raise ParseError("expected an atom", off)
-        if not self.symbol_mode and val == "L":
+        d_gen, xi = _DGEN_RE.match(val), _XI_RE.match(val)
+        # each grammar rejects the other's generators rather than read them as jets
+        if self.symbol_mode and (val == "L" or d_gen):
+            raise ParseError(f"operator generator {val} in a symbol", off)
+        if not self.symbol_mode and xi:
+            raise ParseError(f"symbol variable {val} in an operator", off)
+        if val == "L":
             return DensityOperator.weight(self.cfg.dim)
-        m = _DGEN_RE.match(val)
-        if m and not self.symbol_mode:
-            axis = int(m.group(1))
-            self._check_axis(axis, off)
+        if d_gen:
+            axis = int(d_gen.group(1))
+            self._check_axis(axis)
             return DensityOperator.partial(self.cfg.dim, axis)
-        if self.symbol_mode:
-            m = _XI_RE.match(val)
-            if m:
-                axis = int(m.group(1)) if m.group(1) else 1
-                self._check_axis(axis, off)
-                return SymbolPoly(self.cfg.dim, {(axis,): DiffPolynomial.const(1)})
+        if xi:
+            axis = int(xi.group(1)) if xi.group(1) else 1
+            self._check_axis(axis)
+            return SymbolPoly(self.cfg.dim, {(axis,): DiffPolynomial.const(1)})
         if val in self.cfg.param_names():
             bound = self.cfg.params.get(val)
             scalar = bound if bound is not None else Scalar.param(val)
@@ -299,11 +309,8 @@ class _Parser:
         self.next()
         idx = []
         while True:
-            nkind, nval, noff = self.next()
-            if nkind != "num" or "/" in nval:
-                raise ParseError("tensor index must be an integer", noff)
-            i = int(nval)
-            self._check_axis(i, noff)
+            i, _ = self._integer("tensor index must be an integer")
+            self._check_axis(i)
             idx.append(i)
             nkind, nval, noff = self.next()
             if nkind == "op" and nval == "]":
@@ -349,7 +356,7 @@ def operator_from_json(text: str, cfg: SessionConfig) -> DensityOperator:
     return out
 
 
-# -- command implementations ---------------------------------------------------
+# -- output, input and flags ------------------------------------------------------
 
 
 def _emit(cfg: SessionConfig, obj) -> str:
@@ -366,12 +373,22 @@ def _emit(cfg: SessionConfig, obj) -> str:
             }
             return json.dumps(data)
         return obj.render()
+    if isinstance(obj, list):
+        # Taylor coefficients [D0..Dn]
+        if cfg.json_output:
+            return json.dumps({"schema": "denslift/1",
+                               "coefficients": [json.loads(c.to_json()) for c in obj]})
+        return "\n".join(f"[{k}] {c.render()}" for k, c in enumerate(obj))
+    # Schwarzian data and check verdicts print as text under --json too
     return str(obj)
 
 
+def _read(arg: str) -> str:
+    return sys.stdin.read() if arg == "-" else arg
+
+
 def _read_operator(arg: str, cfg: SessionConfig) -> DensityOperator:
-    src = sys.stdin.read() if arg == "-" else arg
-    return parse_operator(src, cfg)
+    return parse_operator(_read(arg), cfg)
 
 
 def _rational_flag(flag: str, value: str) -> Scalar:
@@ -420,73 +437,18 @@ def _vol_params(cfg: SessionConfig, order: int) -> VolLiftParams:
     return VolLiftParams(b, tuple(c), tuple(d))
 
 
-def cmd_adjoint(args, cfg) -> int:
-    print(_emit(cfg, _read_operator(args.operator, cfg).adjoint()))
-    return 0
-
-
-def cmd_compose(args, cfg) -> int:
-    left = _read_operator(args.left, cfg)
-    right = _read_operator(args.right, cfg)
-    print(_emit(cfg, left @ right))
-    return 0
-
-
-def cmd_lift(args, cfg) -> int:
-    delta = _read_operator(args.operator, cfg)
-    kind = args.kind
-    if kind == "canonical":
-        out = canonical_lift(delta, cfg.lambda0, cfg.volume)
-    elif kind == "vol":
-        out = vol_lift(delta, cfg.lambda0, cfg.volume,
-                       _vol_params(cfg, delta.total_order()))
-    elif kind == "distinguished":
-        out = distinguished_lift(delta, cfg.lambda0, cfg.volume)
-    elif kind == "first":
-        out = first_order_lift(delta, cfg.lambda0, cfg.params.get("c", Scalar.of(0)))
-    elif kind == "second":
-        out = second_order_canonical_lift(delta, cfg.lambda0)
-    else:
-        out = proj_lift(delta, cfg.lambda0)
-    print(_emit(cfg, out))
-    return 0
-
-
-def cmd_taylor(args, cfg) -> int:
-    op = _read_operator(args.operator, cfg)
-    coeffs = taylor_expand(op, cfg.lambda0, cfg.volume)
-    if cfg.json_output:
-        print(json.dumps({"schema": "denslift/1",
-                          "coefficients": [json.loads(c.to_json()) for c in coeffs]}))
-    else:
-        for k, c in enumerate(coeffs):
-            print(f"[{k}] {c.render()}")
-    return 0
-
-
-def cmd_assemble(args, cfg) -> int:
-    coeffs = [_read_operator(arg, cfg) for arg in args.operators]
-    print(_emit(cfg, taylor_assemble(coeffs, cfg.lambda0, cfg.volume)))
-    return 0
-
-
-def cmd_symbol(args, cfg) -> int:
-    delta = _read_operator(args.operator, cfg)
-    print(_emit(cfg, full_symbol(delta, cfg.lambda0)))
-    return 0
-
-
-def cmd_quantize(args, cfg) -> int:
-    src = sys.stdin.read() if args.symbol == "-" else args.symbol
-    sym = parse_symbol(src, cfg)
-    print(_emit(cfg, quantize(sym, cfg.lambda0)))
-    return 0
-
-
-def cmd_schwarzian(args, cfg) -> int:
-    delta = _read_operator(args.operator, cfg)
-    print(str(schwarzian_data(delta, cfg.lambda0)))
-    return 0
+# Rows name engine functions inside lambdas, so each call looks them up in this
+# module at call time and a tracer that swaps a module attribute sees it.
+_LIFTS = {
+    "canonical": lambda d, cfg: canonical_lift(d, cfg.lambda0, cfg.volume),
+    "vol": lambda d, cfg: vol_lift(d, cfg.lambda0, cfg.volume,
+                                   _vol_params(cfg, d.total_order())),
+    "distinguished": lambda d, cfg: distinguished_lift(d, cfg.lambda0, cfg.volume),
+    "first": lambda d, cfg: first_order_lift(d, cfg.lambda0,
+                                             cfg.params.get("c", Scalar.of(0))),
+    "second": lambda d, cfg: second_order_canonical_lift(d, cfg.lambda0),
+    "proj": lambda d, cfg: proj_lift(d, cfg.lambda0),
+}
 
 
 # -- check suites ----------------------------------------------------------------
@@ -602,12 +564,6 @@ _CHECKS = {
 }
 
 
-def cmd_check(args, cfg) -> int:
-    ok, message = _CHECKS[args.name](cfg)
-    print(("PASS" if ok else "FAIL") + f" {args.name}: {message}")
-    return 0 if ok else 1
-
-
 def _first_term(op: DensityOperator) -> str:
     (r, alpha), c = op.sorted_terms()[0]
     gens = "*".join(["L"] * r + [f"D{a}" for a in alpha])
@@ -633,6 +589,45 @@ def _random_operator(rng, dim, max_total):
     return op if not op.is_zero() else DensityOperator.identity(dim)
 
 
+@dataclass(frozen=True)
+class _Verdict:
+    name: str
+    ok: bool
+    message: str
+
+    def __str__(self):
+        return ("PASS" if self.ok else "FAIL") + f" {self.name}: {self.message}"
+
+
+# -- command table -------------------------------------------------------------
+
+# name: (help, positional arguments with their add_argument keywords, run);
+# run(args, cfg) returns what _emit prints.
+_COMMANDS = {
+    "adjoint": ("formal adjoint of an operator", {"operator": {}},
+                lambda a, cfg: _read_operator(a.operator, cfg).adjoint()),
+    "compose": ("composition of two operators", {"left": {}, "right": {}},
+                lambda a, cfg: _read_operator(a.left, cfg) @ _read_operator(a.right, cfg)),
+    "lift": ("pencil liftings", {"kind": {"choices": _LIFTS}, "operator": {}},
+             lambda a, cfg: _LIFTS[a.kind](_read_operator(a.operator, cfg), cfg)),
+    "taylor": ("Taylor coefficients around the base weight", {"operator": {}},
+               lambda a, cfg: taylor_expand(_read_operator(a.operator, cfg),
+                                            cfg.lambda0, cfg.volume)),
+    "assemble": ("rebuild an operator from Taylor coefficients", {"operators": {"nargs": "+"}},
+                 lambda a, cfg: taylor_assemble([_read_operator(s, cfg) for s in a.operators],
+                                                cfg.lambda0, cfg.volume)),
+    "symbol": ("projectively equivariant full symbol", {"operator": {}},
+               lambda a, cfg: full_symbol(_read_operator(a.operator, cfg), cfg.lambda0)),
+    "quantize": ("inverse of the full symbol map", {"symbol": {}},
+                 lambda a, cfg: quantize(parse_symbol(_read(a.symbol), cfg), cfg.lambda0)),
+    "schwarzian": ("Schwarzian invariant of a second-order operator", {"operator": {}},
+                   lambda a, cfg: schwarzian_data(_read_operator(a.operator, cfg), cfg.lambda0)),
+    "check": ("built-in verification suites", {"name": {"choices": sorted(_CHECKS)}},
+              lambda a, cfg: _Verdict(a.name, *_CHECKS[a.name](cfg))),
+}
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     # SUPPRESS keeps subparser defaults from clobbering values already parsed
     # before the subcommand; real defaults are applied in main()
@@ -650,56 +645,15 @@ def build_parser() -> argparse.ArgumentParser:
         prog="denslift", parents=[common],
         description="Exact operator calculus on the algebra of densities.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("adjoint", parents=[common], help="formal adjoint of an operator")
-    p.add_argument("operator")
-    p.set_defaults(fn=cmd_adjoint)
-
-    p = sub.add_parser("compose", parents=[common], help="composition of two operators")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(fn=cmd_compose)
-
-    p = sub.add_parser("lift", parents=[common], help="pencil liftings")
-    p.add_argument("kind", choices=("canonical", "vol", "distinguished",
-                                    "first", "second", "proj"))
-    p.add_argument("operator")
-    p.set_defaults(fn=cmd_lift)
-
-    p = sub.add_parser("taylor", parents=[common],
-                       help="Taylor coefficients around the base weight")
-    p.add_argument("operator")
-    p.set_defaults(fn=cmd_taylor)
-
-    p = sub.add_parser("assemble", parents=[common],
-                       help="rebuild an operator from Taylor coefficients")
-    p.add_argument("operators", nargs="+")
-    p.set_defaults(fn=cmd_assemble)
-
-    p = sub.add_parser("symbol", parents=[common],
-                       help="projectively equivariant full symbol")
-    p.add_argument("operator")
-    p.set_defaults(fn=cmd_symbol)
-
-    p = sub.add_parser("quantize", parents=[common], help="inverse of the full symbol map")
-    p.add_argument("symbol")
-    p.set_defaults(fn=cmd_quantize)
-
-    p = sub.add_parser("schwarzian", parents=[common],
-                       help="Schwarzian invariant of a second-order operator")
-    p.add_argument("operator")
-    p.set_defaults(fn=cmd_schwarzian)
-
-    p = sub.add_parser("check", parents=[common], help="built-in verification suites")
-    p.add_argument("name", choices=sorted(_CHECKS))
-    p.set_defaults(fn=cmd_check)
-
+    for name, (help_text, positionals, _) in _COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        for dest, keywords in positionals.items():
+            p.add_argument(dest, **keywords)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         dim = getattr(args, "dim", 1)
         if not 1 <= dim <= MAX_DIM:
@@ -712,7 +666,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             json_output=getattr(args, "json", False),
             params=_parse_params(getattr(args, "params", "")),
         )
-        return args.fn(args, cfg)
+        result = _COMMANDS[args.command][2](args, cfg)
+        print(_emit(cfg, result))
     except ParseError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return 2
@@ -722,6 +677,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except DensliftError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 1 if isinstance(result, _Verdict) and not result.ok else 0
 
 
 if __name__ == "__main__":

@@ -222,21 +222,20 @@ def classify_sdiff_map(a1, a2, a3, b1, b2, c, dim: int) -> DensityOperator:
 
 @dataclass(frozen=True)
 class DivFreeTensor:
-    """Generic symmetric rank-k tensor, optionally divergenceless."""
+    """Generic symmetric rank-k tensor S, optionally divergenceless."""
 
     dim: int
     rank: int
     constrained: bool = True
-    base: str = "S"
 
     def operator(self) -> DensityOperator:
         """S^{i1..ik} D_i1..D_ik summed over all index tuples."""
         indices = combinations_with_replacement(range(1, self.dim + 1), self.rank)
-        return tensor_operator({idx: DiffPolynomial.jet(self.base, idx) for idx in indices},
+        return tensor_operator({idx: DiffPolynomial.jet("S", idx) for idx in indices},
                                self.dim)
 
     def reduce(self, obj):
-        return _eliminate_divergence(obj, self.base, self.dim) if self.constrained else obj
+        return _eliminate_divergence(obj, "S", self.dim) if self.constrained else obj
 
 
 def _eliminate_divergence(obj, base: str, dim: int):

@@ -49,9 +49,8 @@ class VolumeForm:
         return VolumeForm(None)
 
     @staticmethod
-    def generic(base: str = "ell") -> "VolumeForm":
-        REGISTRY.ensure(base)
-        return VolumeForm(base)
+    def generic() -> "VolumeForm":
+        return VolumeForm("ell")
 
     @property
     def is_coordinate(self) -> bool:

@@ -350,9 +350,6 @@ class Scalar:
             return Fraction(0)
         return self.num[_ONE_MONO] / self.den[_ONE_MONO]
 
-    def params(self):
-        return sorted(set(_mono_vars(self.num)) | set(_mono_vars(self.den)))
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other) -> "Scalar":

@@ -1,13 +1,17 @@
 """CLI: grammar round trips, JSON re-ingestion, command exit codes."""
 
+import io
 import json
 import random
+import re
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from denslift import cli
 from denslift.cli import (
     MAX_DIGITS,
     MAX_EXPONENT,
@@ -328,6 +332,174 @@ def test_cli_flags_after_subcommand(capsys):
     assert "exceptional weight" in capsys.readouterr().err
 
 
+# Exact exit code, stdout and stderr of every command, in text and --json, with
+# flags on either side of the subcommand and "-" read from stdin.
+GOLDEN = [
+    (["--dim", "1", "adjoint", "L"], None, 0,
+     '-L + 1\n',
+     ''),
+    (["--json", "adjoint", "a D1 L + 1/3 b"], None, 0,
+     '{"schema": "denslift/1", "terms": [{"lpow": 1, "dmulti": [1], "coeff": "a"}, {"lpow": 1, '
+     '"dmulti": [], "coeff": "a_,1"}, {"lpow": 0, "dmulti": [1], "coeff": "-a"}, {"lpow": 0, '
+     '"dmulti": [], "coeff": "-a_,1 + 1/3*b"}], "order": 2}\n',
+     ''),
+    (["compose", "--dim", "1", "a D1 + L", "b D1"], None, 0,
+     'b*L*D1 + a*b*D1*D1 + a*b_,1*D1\n',
+     ''),
+    (["--json", "compose", "D1", "f"], None, 0,
+     '{"schema": "denslift/1", "terms": [{"lpow": 0, "dmulti": [1], "coeff": "f"}, {"lpow": 0, '
+     '"dmulti": [], "coeff": "f_,1"}], "order": 1}\n',
+     ''),
+    (["--lambda0", "1/3", "lift", "second", "a D1 D1 + b D1 + c"], None, 0,
+     '(9/2*a_,1_,1 - 9/2*b_,1 - 9/2*c)*L*L + (6*a_,1 - 6*b)*L*D1 + a*D1*D1 + (-3/2*a_,1_,1 + '
+     '3/2*b_,1 + 9/2*c)*L + (-2*a_,1 + 3*b)*D1\n',
+     ''),
+    (["lift", "--json", "proj", "a D1 D1 + b"], None, 0,
+     '{"schema": "denslift/1", "terms": [{"lpow": 2, "dmulti": [], "coeff": "1/3*a_,1_,1"}, '
+     '{"lpow": 1, "dmulti": [1], "coeff": "a_,1"}, {"lpow": 0, "dmulti": [1, 1], "coeff": '
+     '"a"}, {"lpow": 1, "dmulti": [], "coeff": "(-1/3 - l0)*a_,1_,1"}, {"lpow": 0, "dmulti": '
+     '[1], "coeff": "-l0*a_,1"}, {"lpow": 0, "dmulti": [], "coeff": "(1/3*l0 + '
+     '2/3*l0^2)*a_,1_,1 + b"}], "order": 2}\n',
+     ''),
+    (["--dim", "2", "--volume", "generic", "lift", "canonical", "S[1,2] D1 D2"], None, 0,
+     'S[1,2]*ell_,1*ell_,2*L*L - S[1,2]*ell_,2*L*D1 - S[1,2]*ell_,1*L*D2 + S[1,2]*D1*D2 + '
+     '(-2*l0*S[1,2]*ell_,1*ell_,2 - S[1,2]*ell_,1_,2)*L + l0*S[1,2]*ell_,2*D1 + '
+     'l0*S[1,2]*ell_,1*D2 + (l0^2*S[1,2]*ell_,1*ell_,2 + l0*S[1,2]*ell_,1_,2)\n',
+     ''),
+    (["--params", "b=1/2,c1=1,d1=0", "lift", "vol", "A D1 + B"], None, 0,
+     '1/2*A_,1*L + A*D1 + (-1/2*l0*A_,1 + B)\n',
+     ''),
+    (["lift", "distinguished", "--volume", "generic", "a D1"], None, 0,
+     '((-1/2/(-1/2 + l0))*a_,1)*L + a*D1 + ((1/2*l0/(-1/2 + l0))*a_,1)\n',
+     ''),
+    (["--params", "c=2", "lift", "first", "--json", "A D1 + B"], None, 0,
+     '{"schema": "denslift/1", "terms": [{"lpow": 1, "dmulti": [], "coeff": "(1 - 2*l0)*A_,1 + '
+     '2*B"}, {"lpow": 0, "dmulti": [1], "coeff": "A"}, {"lpow": 0, "dmulti": [], "coeff": '
+     '"(-l0 + 2*l0^2)*A_,1 + (1 - 2*l0)*B"}], "order": 1}\n',
+     ''),
+    (["--volume", "generic", "taylor", "L f + D1"], None, 0,
+     '[0] D1 + l0*f\n[1] (ell_,1 + f)\n',
+     ''),
+    (["taylor", "--json", "L^2 a D1 + b"], None, 0,
+     '{"schema": "denslift/1", "coefficients": [{"schema": "denslift/1", "terms": [{"lpow": 0, '
+     '"dmulti": [1], "coeff": "l0^2*a"}, {"lpow": 0, "dmulti": [], "coeff": "b"}], "order": '
+     '1}, {"schema": "denslift/1", "terms": [{"lpow": 0, "dmulti": [1], "coeff": "2*l0*a"}], '
+     '"order": 1}, {"schema": "denslift/1", "terms": [{"lpow": 0, "dmulti": [1], "coeff": '
+     '"a"}], "order": 1}]}\n',
+     ''),
+    (["assemble", "D1", "f"], None, 0,
+     'f*L + D1 - l0*f\n',
+     ''),
+    (["--json", "assemble", "a D1", "b"], None, 0,
+     '{"schema": "denslift/1", "terms": [{"lpow": 1, "dmulti": [], "coeff": "b"}, {"lpow": 0, '
+     '"dmulti": [1], "coeff": "a"}, {"lpow": 0, "dmulti": [], "coeff": "-l0*b"}], "order": 1}\n',
+     ''),
+    (["--dim", "2", "symbol", "S[1,2] D1 D2 + R"], None, 0,
+     'S[1,2]*xi1*xi2 + ((-1/5 - 3/5*l0)*S[1,2]_,2)*xi1 + ((-1/5 - 3/5*l0)*S[1,2]_,1)*xi2 + (R '
+     '+ (1/4*l0 + 3/4*l0^2)*S[1,2]_,1_,2)\n',
+     ''),
+    (["symbol", "--json", "a D1 D1 + b D1"], None, 0,
+     '{"schema": "denslift/1", "symbol": [{"xi": [1, 1], "coeff": "a"}, {"xi": [1], "coeff": '
+     '"(-1/2 - l0)*a_,1 + b"}, {"xi": [], "coeff": "(1/3*l0 + 2/3*l0^2)*a_,1_,1 - l0*b_,1"}], '
+     '"degree": 2}\n',
+     ''),
+    (["--lambda0", "1/4", "quantize", "a xi^2 + b xi + c"], None, 0,
+     'a*D1*D1 + (3/4*a_,1 + b)*D1 + (1/16*a_,1_,1 + 1/4*b_,1 + c)\n',
+     ''),
+    (["--json", "--dim", "2", "quantize", "a xi1 xi2 + b xi2"], None, 0,
+     '{"schema": "denslift/1", "terms": [{"lpow": 0, "dmulti": [1, 2], "coeff": "a"}, {"lpow": '
+     '0, "dmulti": [1], "coeff": "(1/5 + 3/5*l0)*a_,2"}, {"lpow": 0, "dmulti": [2], "coeff": '
+     '"(1/5 + 3/5*l0)*a_,1 + b"}, {"lpow": 0, "dmulti": [], "coeff": "(3/20*l0 + '
+     '9/20*l0^2)*a_,1_,2 + l0*b_,2"}], "order": 2}\n',
+     ''),
+    (["schwarzian", "a D1 D1 + b D1 + c"], None, 0,
+     '((1/3 + 2/3*l0)/(-1 + l0))*a_,1_,1 + (-1/(-1 + l0))*b_,1 + (1/(-l0 + l0^2))*c\n',
+     ''),
+    (["--json", "schwarzian", "a D1 D1"], None, 0,
+     '((1/3 + 2/3*l0)/(-1 + l0))*a_,1_,1\n',
+     ''),
+    (["check", "sdiff-classify"], None, 0,
+     'PASS sdiff-classify: kernel constraints b1=a1-a2, b2=-a3 verified\n',
+     ''),
+    (["--json", "check", "cocycle"], None, 0,
+     'PASS cocycle: Schwarzian cocycle law on identity, generic, and Moebius jets\n',
+     ''),
+    (["adjoint", "-"], 'a D1', 0,
+     '-a*D1 - a_,1\n',
+     ''),
+    (["--json", "quantize", "-"], 'a xi^2', 0,
+     '{"schema": "denslift/1", "terms": [{"lpow": 0, "dmulti": [1, 1], "coeff": "a"}, {"lpow": '
+     '0, "dmulti": [1], "coeff": "(1/2 + l0)*a_,1"}, {"lpow": 0, "dmulti": [], "coeff": '
+     '"(1/6*l0 + 1/3*l0^2)*a_,1_,1"}], "order": 2}\n',
+     ''),
+    (["compose", "D1", "-"], 'f', 0,
+     'f*D1 + f_,1\n',
+     ''),
+    (["adjoint", "D1 +"], None, 2,
+     '',
+     'syntax error: expected an atom (at offset 4)\n'),
+    (["--dim", "0", "adjoint", "L"], None, 2,
+     '',
+     'flag error: --dim expects an integer in 1..8, got 0\n'),
+    (["lift", "second", "--lambda0", "1/2", "a D1 D1"], None, 1,
+     '',
+     'error: exceptional weight 1/2\n'),
+]
+
+
+def test_cli_golden_outputs(capsys, monkeypatch):
+    for argv, stdin, code, out, err in GOLDEN:
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin or ""))
+        assert main(argv) == code, argv
+        assert capsys.readouterr() == (out, err), argv
+
+
+def test_cli_failed_check_exits_1(capsys, monkeypatch):
+    monkeypatch.setitem(cli._CHECKS, "cocycle", lambda session: (False, "forced failure"))
+    assert main(["check", "cocycle"]) == 1
+    assert capsys.readouterr() == ("FAIL cocycle: forced failure\n", "")
+
+
+def test_cli_calls_do_not_share_flags(capsys):
+    # the parser is built once per process; no flag may carry over to the next call
+    for first in (["--dim", "2", "--json", "adjoint", "D2"], ["adjoint", "--json", "--dim", "2", "D2"]):
+        assert main(first) == 0
+        assert json.loads(capsys.readouterr().out)["order"] == 1
+        assert main(["adjoint", "L"]) == 0
+        assert capsys.readouterr().out == "-L + 1\n"
+
+
+def test_readme_lists_every_command_lift_and_check():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph = readme[readme.index("Commands:"):readme.index("Flags:")]
+    listed = {}
+    for item in re.findall(r"`([^`]+)`", paragraph):
+        name, _, choices = item.partition("{")
+        listed[name.strip()] = [c.strip() for c in choices.rstrip("}").split(",") if c.strip()]
+    assert list(listed) == list(cli._COMMANDS)
+    assert listed.pop("lift") == list(cli._LIFTS)
+    assert listed.pop("check") == list(cli._CHECKS)
+    assert not any(listed.values())
+
+
+def test_each_grammar_rejects_the_other_grammars_generators(capsys):
+    c = cfg(dim=2)
+    for parse, src, offset in ((parse_symbol, "D1 a", 0), (parse_symbol, "L xi1", 0),
+                               (parse_symbol, "a xi2 D2", 6), (parse_operator, "xi D1", 0),
+                               (parse_operator, "a xi2", 2), (parse_operator, "b + xi1_,1", 4)):
+        with pytest.raises(ParseError) as info:
+            parse(src, c)
+        assert info.value.offset == offset, src
+    # names that merely start like a generator stay jet symbols in both grammars
+    assert list(parse_operator("D Lx xia", c).terms) == [(0, ())]
+    assert list(parse_symbol("D Lx xia", c).terms) == [()]
+    for argv in (["quantize", "D1 a"], ["--dim", "2", "quantize", "L xi1"], ["symbol", "xi D1"]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err.startswith("syntax error: ") and captured.err.count("\n") == 1
+
+
 def test_round_trip_with_rational_function_coefficients():
     # outputs of the distinguished and second-order lifts carry denominators
     # like (2 l0 - 1); their rendered and JSON forms must re-ingest exactly
@@ -351,7 +523,7 @@ def test_round_trip_with_monomial_denominators():
         assert operator_from_json(op.to_json(), c) == op, expr
 
 
-def test_division_by_scalar_expressions():
+def test_division_by_scalar_expressions(capsys):
     c = cfg()
     got = parse_operator("b D1 / (2 l0 - 1)", c)
     l0 = Scalar.param("l0")
@@ -361,6 +533,19 @@ def test_division_by_scalar_expressions():
         parse_operator("a / b", c)   # jet divisor rejected
     with pytest.raises(ParseError):
         parse_operator("a / 0", c)
+    # a numeral with a zero denominator is a syntax error at its offset
+    for parse, src, offset in ((parse_operator, "1/0", 0), (parse_operator, "(0/0) a", 1),
+                               (parse_symbol, "1/0", 0), (parse_operator, "a + 2/00 b", 4)):
+        with pytest.raises(ParseError) as info:
+            parse(src, c)
+        assert info.value.offset == offset, src
+    with pytest.raises(ParseError):
+        operator_from_json('{"terms": [{"lpow": 0, "dmulti": [], "coeff": "1/0"}]}', c)
+    for argv in (["adjoint", "1/0"], ["adjoint", "(0/0) a"], ["quantize", "1/0"]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err.startswith("syntax error: ") and captured.err.count("\n") == 1
 
 
 def test_fuzzed_round_trip_with_parameter_coefficients():
