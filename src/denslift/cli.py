@@ -67,7 +67,9 @@ class SessionConfig:
         return set(DEFAULT_PARAMS) | set(self.params)
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z][A-Za-z0-9]*)"
+_NAME = r"[A-Za-z][A-Za-z0-9]*"
+_NAME_RE = re.compile(_NAME)
+_TOKEN_RE = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>" + _NAME + r")"
                        r"|(?P<op>[-+*/^()\[\],_]))")
 
 
@@ -404,6 +406,15 @@ def _lambda0(spec: str) -> Scalar:
     return _rational_flag("--lambda0", spec)
 
 
+def _param_name(name: str) -> str:
+    """A --params name, which the parser must read back as a parameter."""
+    if not _NAME_RE.fullmatch(name):
+        raise FlagError(f"--params expects names like k1, got {name!r}")
+    if name == "L" or _DGEN_RE.match(name) or _XI_RE.match(name):
+        raise FlagError(f"--params cannot bind the generator {name}")
+    return name
+
+
 def _parse_params(spec: Optional[str]) -> Dict[str, Scalar]:
     out: Dict[str, Scalar] = {}
     if not spec:
@@ -413,10 +424,10 @@ def _parse_params(spec: Optional[str]) -> Dict[str, Scalar]:
         if not chunk:
             continue
         if "=" not in chunk:
-            out[chunk] = Scalar.param(chunk)
+            out[_param_name(chunk)] = Scalar.param(chunk)
             continue
         name, value = chunk.split("=", 1)
-        name = name.strip()
+        name = _param_name(name.strip())
         value = value.strip()
         if value in ("sym", "symbolic"):
             out[name] = Scalar.param(name)
@@ -658,6 +669,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         dim = getattr(args, "dim", 1)
         if not 1 <= dim <= MAX_DIM:
             raise FlagError(f"--dim expects an integer in 1..{MAX_DIM}, got {dim}")
+        inputs = [getattr(args, dest) for dest in _COMMANDS[args.command][1]]
+        if sum(v.count("-") if isinstance(v, list) else v == "-" for v in inputs) > 1:
+            raise FlagError("stdin can be read once: give '-' for one argument at most")
         cfg = SessionConfig(
             dim=dim,
             lambda0=_lambda0(getattr(args, "lambda0", "symbolic")),

@@ -1,29 +1,36 @@
 """Exact rational functions in named formal parameters.
 
-Scalars form the coefficient field of the whole engine: quotients of
-multivariate polynomials with Fraction coefficients, kept gcd-reduced with a
-monic denominator so that two equal scalars always have identical term maps
-and ``==`` is structural.  Monomials are sorted tuples of (name, exponent)
-pairs; polynomials are dicts from monomial to Fraction with no zero entries.
+Scalars form the coefficient field of the whole engine.  A Scalar is a
+rational content times a primitive integer numerator over a primitive integer
+denominator: the two are coprime, both have a positive leading coefficient,
+and they run over exactly the parameters the value involves.  So two equal
+scalars have identical fields and ``==`` is structural.
+
+Polynomials over the sorted parameter names are recursive dense tuples: a
+polynomial in k variables is the tuple of its coefficients in the first one,
+lowest degree first, each a polynomial in the other k - 1; with no variables
+it is an int.  Zero is 0 at level 0 and () above it, and no tuple ends in a
+zero.  Sums and products follow Henrici (Knuth, TAOCP vol. 2, 4.5.1), so gcds
+are taken only between a numerator and the other operand's denominator, or
+between the two denominators; the gcd itself is the primitive Euclidean
+algorithm over the coefficient ring (Brown 1971).
 """
 
 from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from math import gcd
 from operator import itemgetter
-from typing import Dict, Mapping, Tuple, Union
+from typing import Dict, Mapping, Union
 
 from .errors import CoefficientTooLargeError, ZeroDenominatorError
-
-Mono = Tuple[Tuple[str, int], ...]
-Poly = Dict[Mono, Fraction]
-
-_ONE_MONO: Mono = ()
 
 # Factors in a monomial are distinct, so sorting on them alone gives the order
 # of the pairs without first testing factors for equality (JetSymbol.__eq__).
 _by_factor = itemgetter(0)
+
+_FRACTION_ONE = Fraction(1)
 
 
 def collect(pairs, out=None):
@@ -39,7 +46,8 @@ def collect(pairs, out=None):
 
 def mono_mul(a, b):
     """Product of monomials stored as tuples of (factor, exponent) pairs
-    sorted by factor: parameter names here, jet symbols in ``jets``."""
+    sorted by factor, like the jet monomials in ``jets`` and the keys of
+    ``Scalar.num``."""
     if not a:
         return b
     if not b:
@@ -50,188 +58,284 @@ def mono_mul(a, b):
     return tuple(sorted(out.items(), key=_by_factor))
 
 
-def _mono_div(a: Mono, b: Mono):
-    """a / b as a monomial, or None when not divisible."""
-    out = dict(a)
-    for name, exp in b:
-        left = out.get(name, 0) - exp
-        if left < 0:
-            return None
-        if left == 0:
-            out.pop(name, None)
-        else:
-            out[name] = left
-    return tuple(sorted(out.items()))
+# -- integer polynomials in k variables ------------------------------------------
 
 
-def _mono_vars(p: Poly):
-    vs = set()
-    for m in p:
-        for name, _ in m:
-            vs.add(name)
-    return sorted(vs)
+def _one(k: int):
+    p = 1
+    for _ in range(k):
+        p = (p,)
+    return p
 
 
-def _expvec(m: Mono, varlist) -> Tuple[int, ...]:
-    d = dict(m)
-    return tuple(d.get(v, 0) for v in varlist)
+def _is_const(p, k: int) -> bool:
+    for _ in range(k):
+        if len(p) != 1:
+            return False
+        p = p[0]
+    return True
 
 
-def _padd(a: Poly, b: Poly) -> Poly:
-    out = dict(a)
-    for m, c in b.items():
-        s = out.get(m)
-        if s is None:
-            out[m] = c
-        else:
-            s = s + c
-            if s:
-                out[m] = s
-            else:
-                del out[m]
-    return out
+def _lc(p, k: int) -> int:
+    """Leading integer coefficient in the lexicographic order of the variables."""
+    for _ in range(k):
+        p = p[-1]
+    return p
 
 
-def _pneg(a: Poly) -> Poly:
-    return {m: -c for m, c in a.items()}
-
-def _pscale(a: Poly, k: Fraction) -> Poly:
+def _add(a, b, k: int):
     if not k:
-        return {}
-    return {m: c * k for m, c in a.items()}
+        return a + b
+    if len(a) < len(b):
+        a, b = b, a
+    if k == 1:
+        out = [x + y for x, y in zip(a, b)]
+    else:
+        out = [_add(x, y, k - 1) for x, y in zip(a, b)]
+    out.extend(a[len(b):])
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
 
 
-def _pmul(a: Poly, b: Poly) -> Poly:
-    out: Poly = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            m = mono_mul(ma, mb)
-            s = out.get(m)
-            if s is None:
-                out[m] = ca * cb
-            else:
-                s = s + ca * cb
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-    return out
+def _scale(p, m: int, k: int):
+    """p times the nonzero int m."""
+    if m == 1:
+        return p
+    if not k:
+        return p * m
+    if k == 1:
+        return tuple([x * m for x in p])
+    return tuple([_scale(x, m, k - 1) for x in p])
 
 
-def _pconst(k) -> Poly:
-    k = Fraction(k)
-    return {_ONE_MONO: k} if k else {}
+def _iquo(p, m: int, k: int):
+    """p over the int m, which divides every coefficient."""
+    if m == 1:
+        return p
+    if not k:
+        return p // m
+    if k == 1:
+        return tuple([x // m for x in p])
+    return tuple([_iquo(x, m, k - 1) for x in p])
 
 
-def _is_const(p: Poly) -> bool:
-    return not p or (len(p) == 1 and _ONE_MONO in p)
-
-
-def _lead(p: Poly, varlist) -> Mono:
-    return max(p, key=lambda m: _expvec(m, varlist))
-
-
-def _pdiv_exact(a: Poly, b: Poly):
-    """Exact multivariate division a / b, or None when b does not divide a."""
-    if not a:
-        return {}
-    if not b:
-        return None
-    varlist = sorted(set(_mono_vars(a)) | set(_mono_vars(b)))
-    lead_b = _lead(b, varlist)
-    cb = b[lead_b]
-    quo: Poly = {}
-    rem = dict(a)
-    while rem:
-        lead_r = _lead(rem, varlist)
-        m = _mono_div(lead_r, lead_b)
-        if m is None:
-            return None
-        k = rem[lead_r] / cb
-        quo[m] = quo.get(m, Fraction(0)) + k
-        rem = _padd(rem, _pneg(_pmul({m: k}, b)))
-    return {m: c for m, c in quo.items() if c}
-
-
-def _split_by_var(p: Poly, v: str):
-    """View p as a univariate polynomial in v with Poly coefficients."""
-    out: Dict[int, Poly] = {}
-    for m, c in p.items():
-        d = dict(m)
-        e = d.pop(v, 0)
-        rest = tuple(sorted(d.items()))
-        out.setdefault(e, {})[rest] = c
-    return out
-
-
-def _join_by_var(coeffs: Dict[int, Poly], v: str) -> Poly:
-    out = collect((mono_mul(m, ((v, e),)) if e else m, c)
-                  for e, q in coeffs.items() for m, c in q.items())
-    return {m: c for m, c in out.items() if c}
-
-
-def _content(coeffs: Dict[int, Poly]) -> Poly:
-    g: Poly = {}
-    for q in coeffs.values():
-        g = _pgcd(g, q)
+def _icont(p, k: int) -> int:
+    """Nonnegative gcd of the integer coefficients."""
+    if not k:
+        return abs(p)
+    if k == 1:
+        return gcd(*p)
+    g = 0
+    for x in p:
+        g = gcd(g, _icont(x, k - 1))
+        if g == 1:
+            break
     return g
 
 
-def _pgcd(a: Poly, b: Poly) -> Poly:
-    """Multivariate gcd over Q via primitive pseudo-remainder sequences.
+def _mul(a, b, k: int):
+    if not k:
+        return a * b
+    if not a or not b:
+        return ()
+    if len(a) < len(b):
+        a, b = b, a
+    zero = 0 if k == 1 else ()
+    n = len(b)
+    if b.count(zero) == n - 1:
+        # b is c x^s: shift a in C, so high powers cost no Python loop over
+        # their zero coefficients
+        c = b[-1]
+        if k == 1:
+            a = _scale(a, c, 1)
+        elif c != _one(k - 1):
+            a = tuple([_mul(x, c, k - 1) if x else x for x in a])
+        return (zero,) * (n - 1) + a
+    if k == 1:
+        m = len(a)
+        out = [0] * (m + n - 1)
+        for j, y in enumerate(b):
+            if y:
+                out[j:j + m] = [o + x * y for o, x in zip(out[j:j + m], a)]
+        return tuple(out)
+    out = [()] * (len(a) + n - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] = _add(out[i + j], _mul(x, y, k - 1), k - 1)
+    return tuple(out)
 
-    The result is only defined up to a nonzero rational factor; callers
-    normalize.  Inputs here are small (parameter polynomials), so the naive
-    PRS is plenty.
-    """
+
+def _divexact(a, b, k: int):
+    """a / b, where b divides a."""
+    if not k:
+        return a // b
     if not a:
-        return dict(b)
-    if not b:
-        return dict(a)
-    if _is_const(a) or _is_const(b):
-        return _pconst(1)
-    vs = sorted(set(_mono_vars(a)) | set(_mono_vars(b)))
-    v = vs[0]
-    ua, ub = _split_by_var(a, v), _split_by_var(b, v)
-    if 0 in ua and len(ua) == 1:
-        # a does not involve v after all; gcd with content of b
-        return _pgcd(ua[0], _content(ub))
-    if 0 in ub and len(ub) == 1:
-        return _pgcd(ub[0], _content(ua))
-    ca, cb = _content(ua), _content(ub)
-    cg = _pgcd(ca, cb)
-    pa = {e: _pdiv_exact(q, ca) for e, q in ua.items()}
-    pb = {e: _pdiv_exact(q, cb) for e, q in ub.items()}
+        return ()
+    n = len(b) - 1
+    lb = b[-1]
+    if not n:
+        if k == 1:
+            return tuple([x // lb for x in a])
+        return tuple([_divexact(x, lb, k - 1) for x in a])
+    r = list(a)
+    q = [0 if k == 1 else ()] * (len(a) - n)
+    for i in range(len(q) - 1, -1, -1):
+        if k == 1:
+            t = r[i + n] // lb
+            r[i:i + n + 1] = [x - t * y for x, y in zip(r[i:i + n + 1], b)]
+        else:
+            t = _divexact(r[i + n], lb, k - 1)
+            minus_t = _scale(t, -1, k - 1)
+            for j, y in enumerate(b):
+                r[i + j] = _add(r[i + j], _mul(minus_t, y, k - 1), k - 1)
+        q[i] = t
+    return tuple(q)
+
+
+def _prem(a, b, k: int):
+    """A nonzero multiple of the pseudo-remainder of a by b in the first
+    variable, where len(a) >= len(b) >= 2."""
+    n = len(b) - 1
+    lb = b[-1]
+    r = list(a)
+    while len(r) > n:
+        lr = r[-1]
+        s = len(r) - 1 - n
+        if k == 1:
+            g = gcd(lr, lb)
+            x, y = lb // g, lr // g
+            r = [v * x for v in r]
+            r[s:] = [v - y * w for v, w in zip(r[s:], b)]
+        else:
+            r = [_mul(v, lb, k - 1) for v in r]
+            minus_lr = _scale(lr, -1, k - 1)
+            for j, w in enumerate(b):
+                r[s + j] = _add(r[s + j], _mul(minus_lr, w, k - 1), k - 1)
+        while r and not r[-1]:
+            r.pop()
+    return tuple(r)
+
+
+def _coeff_gcd(p, k: int):
+    """gcd of the coefficients of p in its first variable."""
+    if k == 1:
+        return gcd(*p)
+    one = _one(k - 1)
+    g = ()
+    for x in p:
+        if x:
+            g = _gcd(g, x, k - 1)
+            if g == one:
+                break
+    return g
+
+
+def _primitive(p, c, k: int):
+    """p over its content c in the first variable."""
+    if k == 1:
+        return _iquo(p, c, 1)
+    if c == _one(k - 1):
+        return p
+    return tuple([_divexact(x, c, k - 1) for x in p])
+
+
+def _gcd(a, b, k: int):
+    """Greatest common divisor in Z[x1..xk], with a positive leading coefficient."""
+    if not k:
+        return gcd(a, b)
+    if not a or not b:
+        g = a or b
+        return g if _lc(g, k) > 0 else _scale(g, -1, k)
+    ca, cb = _coeff_gcd(a, k), _coeff_gcd(b, k)
+    c = _gcd(ca, cb, k - 1)
+    if len(a) == 1 or len(b) == 1:
+        return (c,)
+    a, b = _primitive(a, ca, k), _primitive(b, cb, k)
+    if len(a) < len(b):
+        a, b = b, a
     while True:
-        da, db = max(pa), max(pb)
-        if da < db:
-            pa, pb = pb, pa
-            da, db = db, da
-        # pseudo-remainder of pa by pb in the variable v
-        r = pa
-        while r and max(r) >= db:
-            dr = max(r)
-            lc_r, lc_b = r[dr], pb[db]
-            shift = dr - db
-            new: Dict[int, Poly] = {}
-            for e, q in r.items():
-                new[e] = _pmul(q, lc_b)
-            for e, q in pb.items():
-                new[e + shift] = _padd(new.get(e + shift, {}), _pneg(_pmul(q, lc_r)))
-            r = {e: q for e, q in new.items() if q}
+        r = _prem(a, b, k)
         if not r:
-            g = _join_by_var(pb, v)
             break
-        cr = _content(r)
-        r = {e: _pdiv_exact(q, cr) for e, q in r.items()}
-        # fix the free rational factor as well, or coefficients grow exponentially
-        scale = Fraction(1) / max(r[max(r)].items())[1]
-        r = {e: _pscale(q, scale) for e, q in r.items()}
-        pa, pb = pb, r
-        if max(pb) == 0:
-            g = _pconst(1)
+        if len(r) == 1:
+            b = _one(k)
             break
-    return _pmul(cg, g)
+        a, b = b, _primitive(r, _coeff_gcd(r, k), k)
+    if _lc(b, k) < 0:
+        b = _scale(b, -1, k)
+    return b if c == _one(k - 1) else tuple([_mul(c, x, k - 1) for x in b])
+
+
+def _cancel(n, d, k: int):
+    """n / gcd(n, d) and d / gcd(n, d)."""
+    if _is_const(n, k) or _is_const(d, k):
+        return n, d
+    g = _gcd(n, d, k)
+    if _is_const(g, k):
+        return n, d
+    return _divexact(n, g, k), _divexact(d, g, k)
+
+
+def _levels(p, k: int, i: int, out: set) -> None:
+    """Add to ``out`` the index of every variable that p involves."""
+    if k:
+        if len(p) > 1:
+            out.add(i)
+        for c in p:
+            if c:
+                _levels(c, k - 1, i + 1, out)
+
+
+def _drop(p, keep):
+    """p without the variables whose ``keep`` flag is false; it is constant in them."""
+    if not keep:
+        return p
+    if keep[0]:
+        return tuple([_drop(c, keep[1:]) for c in p])
+    if p:
+        return _drop(p[0], keep[1:])
+    return () if any(keep) else 0
+
+
+def _embed(p, src, dst):
+    """p, over the sorted names ``src``, as a polynomial over their superset ``dst``."""
+    if src == dst:
+        return p
+    if src and src[0] == dst[0]:
+        return tuple([_embed(c, src[1:], dst[1:]) for c in p])
+    return (_embed(p, src, dst[1:]),) if p else ()
+
+
+def _split(p, k: int, i: int) -> Dict[int, object]:
+    """p as {e: coefficient of the i-th variable to the e}, over the others."""
+    if not i:
+        return {e: c for e, c in enumerate(p) if c}
+    parts = [_split(c, k - 1, i - 1) if c else {} for c in p]
+    zero = () if k > 2 else 0
+    out = {}
+    for e in sorted(set().union(*parts)):
+        coeffs = [part.get(e, zero) for part in parts]
+        while not coeffs[-1]:
+            coeffs.pop()
+        out[e] = tuple(coeffs)
+    return out
+
+
+def _terms(p, names, mono=()):
+    """(monomial, int coefficient) pairs of the nonzero terms of p."""
+    if not names:
+        yield mono, p
+        return
+    name, rest = names[0], names[1:]
+    for e, c in enumerate(p):
+        if c:
+            yield from _terms(c, rest, mono + ((name, e),) if e else mono)
+
+
+# -- rendering --------------------------------------------------------------------
 
 
 def _simple(text: str) -> bool:
@@ -269,7 +373,7 @@ def render_sum(terms) -> str:
     return out or "0"
 
 
-def _pstr(p: Poly) -> str:
+def _pstr(p: Dict) -> str:
     # str() of an int with more digits than the interpreter's int-string limit
     # raises ValueError.  Such an int is >= 10^limit > 2^(3 limit), so the
     # bit-length test keeps the exact comparison off ordinary coefficients.
@@ -283,42 +387,138 @@ def _pstr(p: Poly) -> str:
         for m in sorted(p, key=lambda m: (sum(e for _, e in m), m)))
 
 
-class Scalar:
-    """Canonical quotient num/den of parameter polynomials.
+# -- the field ----------------------------------------------------------------------
 
-    Invariants: den is nonzero and monic in the lexicographic order,
-    gcd(num, den) is constant, and num is empty only for zero.  Under these,
-    structural equality of the term maps decides mathematical equality.
+
+def _finish(names, p: int, q: int, n, d) -> "Scalar":
+    """The Scalar (p/q) n/d, where q > 0 and n and d are primitive, coprime and
+    have positive leading coefficients, over the variables among ``names`` they
+    involve."""
+    h = gcd(p, q)
+    if h != 1:
+        p, q = p // h, q // h
+    k = len(names)
+    if k < 2:
+        if k and len(n) == 1 and len(d) == 1:
+            return Scalar((), p, q, 1, 1)
+        return Scalar(names, p, q, n, d)
+    used: set = set()
+    _levels(n, k, 0, used)
+    _levels(d, k, 0, used)
+    if len(used) == k:
+        return Scalar(names, p, q, n, d)
+    keep = [i in used for i in range(k)]
+    return Scalar(tuple(v for v, u in zip(names, keep) if u), p, q,
+                  _drop(n, keep), _drop(d, keep))
+
+
+def _make(names, p: int, q: int, n, d) -> "Scalar":
+    """The canonical Scalar (p/q) n/d for integer polynomials n and d != 0."""
+    if not n:
+        return ZERO
+    k = len(names)
+    n, d = _cancel(n, d, k)
+    m = _icont(n, k) if _lc(n, k) > 0 else -_icont(n, k)
+    e = _icont(d, k) if _lc(d, k) > 0 else -_icont(d, k)
+    p, q = p * m, q * e
+    if q < 0:
+        p, q = -p, -q
+    return _finish(names, p, q, _iquo(n, m, k), _iquo(d, e, k))
+
+
+def _common(a: "Scalar", b: "Scalar"):
+    """The union of two Scalars' variables and their numerators and
+    denominators over it."""
+    va, vb = a._vars, b._vars
+    if va == vb:
+        return va, a._n, a._d, b._n, b._d
+    names = tuple(sorted(set(va).union(vb)))
+    return (names, _embed(a._n, va, names), _embed(a._d, va, names),
+            _embed(b._n, vb, names), _embed(b._d, vb, names))
+
+
+def _plus(a: "Scalar", b: "Scalar") -> "Scalar":
+    p1, q1, p2, q2 = a._p, a._q, b._p, b._q
+    if not p1:
+        return b
+    if not p2:
+        return a
+    # a + b = (x1 n1/d1 + x2 n2/d2) / l over the contents' common denominator l
+    g = gcd(q1, q2)
+    x1, x2, l = p1 * (q2 // g), p2 * (q1 // g), q1 // g * q2
+    if not a._vars and not b._vars:
+        u = x1 + x2
+        return _finish((), u, l, 1, 1) if u else ZERO
+    names, n1, d1, n2, d2 = _common(a, b)
+    k = len(names)
+    if d1 == d2:
+        u = _add(_scale(n1, x1, k), _scale(n2, x2, k), k)
+        if not u:
+            return ZERO
+        u, d = _cancel(u, d1, k)
+    else:
+        # The denominators' common factor g is taken out first (Henrici); the
+        # sum of the cross terms, nonzero as d1 != d2, can then share a factor
+        # with g only.
+        g = None if _is_const(d1, k) or _is_const(d2, k) else _gcd(d1, d2, k)
+        if g is not None and not _is_const(g, k):
+            d1, d2 = _divexact(d1, g, k), _divexact(d2, g, k)
+        else:
+            g = None
+        u = _add(_scale(_mul(n1, d2, k), x1, k), _scale(_mul(n2, d1, k), x2, k), k)
+        d = _mul(d1, d2, k)
+        if g is not None:
+            u, g = _cancel(u, g, k)
+            d = _mul(d, g, k)
+    m = _icont(u, k) if _lc(u, k) > 0 else -_icont(u, k)
+    return _finish(names, m, l, _iquo(u, m, k), d)
+
+
+def _times(a: "Scalar", b: "Scalar") -> "Scalar":
+    p = a._p * b._p
+    if not p:
+        return ZERO
+    q = a._q * b._q
+    if not a._vars or not b._vars:
+        h = gcd(p, q)
+        s = b if not a._vars else a
+        return Scalar(s._vars, p // h, q // h, s._n, s._d)
+    names, n1, d1, n2, d2 = _common(a, b)
+    k = len(names)
+    n1, d2 = _cancel(n1, d2, k)
+    n2, d1 = _cancel(n2, d1, k)
+    return _finish(names, p, q, _mul(n1, n2, k), _mul(d1, d2, k))
+
+
+def _inverse(s: "Scalar") -> "Scalar":
+    p, q = s._q, s._p
+    if not q:
+        raise ZeroDenominatorError("division by the zero scalar")
+    if q < 0:
+        p, q = -p, -q
+    return Scalar(s._vars, p, q, s._d, s._n)
+
+
+class Scalar:
+    """Canonical quotient of parameter polynomials.
+
+    The fields are the sorted names of the parameters the value involves, the
+    content p/q in lowest terms with q > 0, and the recursive dense integer
+    polynomials n and d over those names; the value is (p/q) n/d.  n and d
+    are primitive, coprime and have positive leading coefficients, and zero
+    is (0/1) 1/1 with no names.  Under these, structural equality of the
+    fields decides mathematical equality.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("_vars", "_p", "_q", "_n", "_d")
 
-    def __init__(self, num: Poly, den: Poly):
-        # raw constructor; use _make for normalization
-        self.num = num
-        self.den = den
-
-    @staticmethod
-    def _make(num: Poly, den: Poly) -> "Scalar":
-        if not den:
-            raise ZeroDenominatorError("division by the zero scalar")
-        if not num:
-            return Scalar({}, _pconst(1))
-        if _is_const(den):
-            c = den[_ONE_MONO]
-            if c == 1:
-                return Scalar(num, den)
-            return Scalar(_pscale(num, Fraction(1) / c), _pconst(1))
-        g = _pgcd(num, den)
-        if not _is_const(g):
-            num = _pdiv_exact(num, g)
-            den = _pdiv_exact(den, g)
-        lc = den[_lead(den, _mono_vars(den))]
-        if lc != 1:
-            inv = Fraction(1) / lc
-            num = _pscale(num, inv)
-            den = _pscale(den, inv)
-        return Scalar(num, den)
+    def __init__(self, names, p: int, q: int, n, d):
+        # raw constructor: the fields must already be canonical
+        self._vars = names
+        self._p = p
+        self._q = q
+        self._n = n
+        self._d = d
 
     # -- constructors ------------------------------------------------------
 
@@ -326,45 +526,65 @@ class Scalar:
     def of(value: Union[int, Fraction, "Scalar"]) -> "Scalar":
         if isinstance(value, Scalar):
             return value
-        return Scalar(_pconst(value), _pconst(1))
+        if isinstance(value, int):
+            return Scalar((), int(value), 1, 1, 1)
+        value = Fraction(value)
+        return Scalar((), value.numerator, value.denominator, 1, 1)
 
     @staticmethod
     def param(name: str) -> "Scalar":
-        return Scalar({((name, 1),): Fraction(1)}, _pconst(1))
+        return Scalar((name,), 1, 1, (0, 1), (1,))
+
+    # -- views -------------------------------------------------------------
+
+    @property
+    def num(self) -> Dict:
+        """The numerator as a dict from monomial, a sorted tuple of (name,
+        exponent) pairs, to nonzero Fraction, over the monic ``den``; {} for 0."""
+        if not self._p:
+            return {}
+        p, q = self._p, self._q * _lc(self._d, len(self._vars))
+        return {m: Fraction(p * a, q) for m, a in _terms(self._n, self._vars)}
+
+    @property
+    def den(self) -> Dict:
+        """The denominator as a dict like ``num``, monic in the lexicographic
+        order of its sorted names; {(): 1} for a polynomial."""
+        k = len(self._vars)
+        if _is_const(self._d, k):
+            return {(): _FRACTION_ONE}
+        lc = _lc(self._d, k)
+        return {m: Fraction(a, lc) for m, a in _terms(self._d, self._vars)}
 
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.num
+        return not self._p
 
     def is_one(self) -> bool:
-        return self.num == self.den
+        return not self._vars and self._p == 1 and self._q == 1
 
     def is_rational(self) -> bool:
-        return _is_const(self.num) and _is_const(self.den)
+        return not self._vars
 
     def as_fraction(self) -> Fraction:
-        if not self.is_rational():
+        if self._vars:
             raise ValueError(f"scalar {self} is not a plain rational")
-        if not self.num:
-            return Fraction(0)
-        return self.num[_ONE_MONO] / self.den[_ONE_MONO]
+        return Fraction(self._p, self._q)
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other) -> "Scalar":
-        if not isinstance(other, (int, Fraction, Scalar)):
-            return NotImplemented
-        other = Scalar.of(other)
-        if self.den == other.den:
-            return Scalar._make(_padd(self.num, other.num), self.den)
-        num = _padd(_pmul(self.num, other.den), _pmul(other.num, self.den))
-        return Scalar._make(num, _pmul(self.den, other.den))
+        if not isinstance(other, Scalar):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Scalar.of(other)
+        return _plus(self, other)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
-        return Scalar(_pneg(self.num), self.den)
+        return Scalar(self._vars, -self._p, self._q, self._n, self._d)
 
     def __sub__(self, other) -> "Scalar":
         if not isinstance(other, (int, Fraction, Scalar)):
@@ -375,20 +595,20 @@ class Scalar:
         return Scalar.of(other) + (-self)
 
     def __mul__(self, other) -> "Scalar":
-        if not isinstance(other, (int, Fraction, Scalar)):
-            return NotImplemented
-        other = Scalar.of(other)
-        return Scalar._make(_pmul(self.num, other.num), _pmul(self.den, other.den))
+        if not isinstance(other, Scalar):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Scalar.of(other)
+        return _times(self, other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Scalar":
-        if not isinstance(other, (int, Fraction, Scalar)):
-            return NotImplemented
-        other = Scalar.of(other)
-        if other.is_zero():
-            raise ZeroDenominatorError("division by the zero scalar")
-        return Scalar._make(_pmul(self.num, other.den), _pmul(self.den, other.num))
+        if not isinstance(other, Scalar):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Scalar.of(other)
+        return _times(self, _inverse(other))
 
     def __rtruediv__(self, other) -> "Scalar":
         return Scalar.of(other) / self
@@ -406,17 +626,21 @@ class Scalar:
         return out
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Scalar.of(other)
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
+        if isinstance(other, Scalar):
+            return (self._p == other._p and self._q == other._q and self._n == other._n
+                    and self._d == other._d and self._vars == other._vars)
+        if isinstance(other, int):
+            return not self._vars and self._q == 1 and self._p == other
+        if isinstance(other, Fraction):
+            return (not self._vars and self._p == other.numerator
+                    and self._q == other.denominator)
+        return NotImplemented
 
     def __hash__(self):
         # equal to the hash of the int or Fraction a rational scalar equals
-        if self.is_rational():
-            return hash(self.num.get(_ONE_MONO, 0))
-        return hash((frozenset(self.num.items()), frozenset(self.den.items())))
+        if not self._vars:
+            return hash(self._p) if self._q == 1 else hash(Fraction(self._p, self._q))
+        return hash((self._vars, self._p, self._q, self._n, self._d))
 
     # -- substitution ------------------------------------------------------
 
@@ -424,7 +648,7 @@ class Scalar:
         """Substitute parameters; raises ZeroDenominatorError when the
         denominator vanishes identically under the binding."""
 
-        def eval_poly(p: Poly) -> "Scalar":
+        def eval_poly(p) -> "Scalar":
             total = Scalar.of(0)
             for m, c in p.items():
                 term = Scalar.of(c)
@@ -447,27 +671,38 @@ class Scalar:
 
         Raises ValueError when ``name`` occurs in the denominator.
         """
-        if any(var == name for m in self.den for var, _ in m):
+        names = self._vars
+        if name not in names:
+            return {0: self} if self._p else {}
+        k, i = len(names), names.index(name)
+        used: set = set()
+        _levels(self._d, k, 0, used)
+        if i in used:
             raise ValueError(f"{self} is not polynomial in {name}")
-        return {e: Scalar._make(p, self.den) for e, p in _split_by_var(self.num, name).items()}
+        keep = [j != i for j in range(k)]
+        rest, d = names[:i] + names[i + 1:], _drop(self._d, keep)
+        return {e: _make(rest, self._p, self._q, p, d)
+                for e, p in _split(self._n, k, i).items()}
 
     # -- display -----------------------------------------------------------
 
     def __str__(self) -> str:
-        num = _pstr(self.num)
-        if self.den == _pconst(1):
-            return num
-        den = _pstr(self.den)
-        if len(self.num) > 1:
-            num = f"({num})"
-        if len(self.den) > 1 or "*" in den:   # k1*l0 as well as l0 + 1
-            den = f"({den})"
-        return f"{num}/{den}"
+        num = self.num
+        text = _pstr(num)
+        if _is_const(self._d, len(self._vars)):
+            return text
+        den = self.den
+        den_text = _pstr(den)
+        if len(num) > 1:
+            text = f"({text})"
+        if len(den) > 1 or "*" in den_text:   # k1*l0 as well as l0 + 1
+            den_text = f"({den_text})"
+        return f"{text}/{den_text}"
 
     def __repr__(self) -> str:
         return f"Scalar({self})"
 
 
-ZERO = Scalar.of(0)
+ZERO = Scalar((), 0, 1, 1, 1)
 ONE = Scalar.of(1)
 HALF = Scalar.of(Fraction(1, 2))

@@ -1,7 +1,9 @@
 """Shared random generators and small oracles for the test suite."""
 
+import importlib.util
 import random
 from fractions import Fraction
+from pathlib import Path
 
 from denslift.jets import DiffPolynomial
 from denslift.operators import Density, DensityOperator
@@ -59,3 +61,12 @@ def generic_third_order(dim: int) -> DensityOperator:
             op = op + DensityOperator(dim, {(0, tuple(sorted((i, j)))): DiffPolynomial.jet("G", (i, j))})
         op = op + DensityOperator(dim, {(0, (i,)): DiffPolynomial.jet("A", (i,))})
     return op + DensityOperator.function(dim, DiffPolynomial.jet("R"))
+
+
+def load_tracing():
+    """perfbench/tracing.py, loaded from its file: perfbench is not a package."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

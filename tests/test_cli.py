@@ -176,8 +176,11 @@ def test_cli_readme_outputs_verbatim(capsys):
 
 
 def test_cli_bad_flag_values_exit_2_with_one_line(capsys):
+    # a --params name must read back as a parameter, not a generator
     for flags in (["--lambda0", "abc"], ["--lambda0", "1/0"], ["--params", "b=x"],
-                  ["--dim", "0"], ["--dim", "100000000"]):
+                  ["--dim", "0"], ["--dim", "100000000"], ["--params", "L=2"],
+                  ["--params", "D1=2"], ["--params", "xi=2"], ["--params", "xi2"],
+                  ["--params", "x y=2"], ["--params", "=2"], ["--params", "k1=1,2a=3"]):
         assert main(flags + ["adjoint", "L"]) == 2, flags
         captured = capsys.readouterr()
         assert not captured.out
@@ -316,6 +319,14 @@ def test_cli_stdin_operator(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("a D1 D1"))
     assert main(["--dim", "1", "lift", "second", "-"]) == 0
     assert "D1*D1" in capsys.readouterr().out
+    # stdin is read once, so a second '-' is a flag error, in text and --json
+    for argv in (["compose", "-", "-"], ["--json", "compose", "-", "-"],
+                 ["assemble", "a", "-", "-"]):
+        monkeypatch.setattr("sys.stdin", io.StringIO("a D1"))
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err == "flag error: stdin can be read once: give '-' for one argument at most\n"
 
 
 def test_cli_dim2_symbol(capsys):

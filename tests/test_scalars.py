@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from denslift.errors import ZeroDenominatorError
 from denslift.jets import DiffPolynomial
 from denslift.scalars import Scalar
+from helpers import load_tracing
 
 l0 = Scalar.param("l0")
 b = Scalar.param("b")
@@ -150,3 +151,55 @@ def test_hash_agrees_with_equality_on_rationals(q):
         assert len({value, q}) == 1
     if q.denominator == 1:
         assert len({Scalar.of(q), int(q), DiffPolynomial.const(int(q))}) == 1
+
+
+F = Fraction
+L_ = Scalar.param("_L")   # the formal weight proj_lift quantizes at; sorts before l0
+k1 = Scalar.param("k1")
+# (value, the same value by another route, num view, den view): num and den
+# are dicts from monomial to Fraction, den monic in the lexicographic order
+ROUTES = [
+    ((l0 * l0 - F(1, 4)) / (l0 - F(1, 2)), l0 + F(1, 2),
+     {(("l0", 1),): F(1), (): F(1, 2)}, {(): F(1)}),
+    ((L_ - l0) * (L_ + l0 - 1) / (2 * l0 - 1),
+     (L_ * L_ - L_) / (2 * l0 - 1) + (l0 - l0 * l0) * (l0 - 1) / ((2 * l0 - 1) * (l0 - 1)),
+     {(("_L", 2),): F(1, 2), (("_L", 1),): F(-1, 2), (("l0", 2),): F(-1, 2),
+      (("l0", 1),): F(1, 2)},
+     {(("l0", 1),): F(1), (): F(-1, 2)}),
+    ((3 * L_ * l0 + 2) / (6 * l0 * l0 - 3 * l0), (L_ + F(2, 3) / l0) / (2 * l0 - 1),
+     {(("_L", 1), ("l0", 1)): F(1, 2), (): F(1, 3)},
+     {(("l0", 2),): F(1), (("l0", 1),): F(-1, 2)}),
+    (2 * k1 / (3 * k1 * k1 * l0), (Scalar.of(1) / (k1 * l0)) * F(2, 3),
+     {(): F(2, 3)}, {(("k1", 1), ("l0", 1)): F(1)}),
+    ((b - k1 * l0) / (k1 * l0), b / (k1 * l0) - 1,
+     {(("b", 1),): F(1), (("k1", 1), ("l0", 1)): F(-1)}, {(("k1", 1), ("l0", 1)): F(1)}),
+    (Scalar.of(0), l0 - l0, {}, {(): F(1)}),
+    (Scalar.of(F(-3, 4)), (L_ * 3 - 3 * L_ - 3) / 4, {(): F(-3, 4)}, {(): F(1)}),
+]
+
+
+def test_num_and_den_views_are_the_canonical_dicts():
+    for value, other, num, den in ROUTES:
+        for s in (value, other):
+            assert s.num == num and s.den == den, (s, s.num, s.den)
+            assert all(type(c) is Fraction for c in list(s.num.values()) + list(s.den.values()))
+        with pytest.raises(AttributeError):
+            value.num = {}
+
+
+def test_hash_agrees_with_equality_across_routes():
+    for value, other, _, _ in ROUTES:
+        assert value == other
+        assert hash(value) == hash(other)
+        assert len({value, other}) == 1
+        assert value != other + 1
+
+
+def test_tracer_classifies_denominators_through_the_den_view():
+    is_const_den = load_tracing()._is_const_den
+    for value, other, _, den in ROUTES:
+        assert is_const_den(value.den) == (den == {(): 1}), value
+    for s in (Scalar.of(3), l0 * k1 * L_ + 1, (l0 * l0 - 1) / (l0 - 1)):
+        assert is_const_den(s.den), s
+    for s in (Scalar.of(1) / (2 * l0 - 1), 1 / (k1 * l0), L_ / (L_ + l0)):
+        assert not is_const_den(s.den), s

@@ -1,24 +1,15 @@
 """The benchmark tracer finds every engine name it wraps and restores them all."""
 
 import argparse
-import importlib.util
-from pathlib import Path
 
 from denslift import cli, equivariance, jets, lifting, linalg, operators, projective, scalars
 import denslift
+from helpers import load_tracing
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 MODULES = [denslift, scalars, jets, operators, lifting, equivariance, projective, linalg, cli]
 CLASSES = [scalars.Scalar, jets.DiffPolynomial, operators.DensityOperator,
            equivariance.LiftingHandle, equivariance.DivFreeField, equivariance.DivFreeTensor,
            projective.SymbolPoly, argparse.ArgumentParser]
-
-
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def _snapshot():
@@ -28,7 +19,7 @@ def _snapshot():
 
 def test_tracer_wraps_engine_names_and_restores_them():
     before = _snapshot()
-    tracer = _load_tracing().Tracer()
+    tracer = load_tracing().Tracer()
     try:
         tracer.install()   # raises when a name it wraps is gone from the engine
         compose = operators.DensityOperator.__dict__["compose"]
