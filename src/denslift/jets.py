@@ -15,32 +15,32 @@ goes through the rule.  Callers that work modulo an inverse relation such as
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple
 
 from .errors import DuplicateSymbolError
-from .scalars import Scalar, collect, mono_mul, render_sum
+from .scalars import Scalar, _by_factor, collect, mono_mul, render_sum
 
 
-@dataclass(frozen=True, order=True)
-class JetSymbol:
-    """One jet coordinate: base name, sorted upper indices, sorted multi-index."""
+class JetSymbol(tuple):
+    """One jet coordinate: the tuple (base name, sorted upper indices, sorted
+    multi-index), so hashing, equality and ordering run in C."""
 
-    base: str
-    upper: Tuple[int, ...] = ()
-    lower: Tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "upper", tuple(sorted(self.upper)))
-        object.__setattr__(self, "lower", tuple(sorted(self.lower)))
-        object.__setattr__(self, "_hash", hash((self.base, self.upper, self.lower)))
+    def __new__(cls, base: str, upper: Tuple[int, ...] = (), lower: Tuple[int, ...] = ()):
+        return tuple.__new__(cls, (base, tuple(sorted(upper)), tuple(sorted(lower))))
 
-    def __hash__(self):
-        return self._hash
+    def __getnewargs__(self):
+        return tuple(self)
+
+    base = property(itemgetter(0))
+    upper = property(itemgetter(1))
+    lower = property(itemgetter(2))
 
     def with_derivative(self, axis: int) -> "JetSymbol":
-        return JetSymbol(self.base, self.upper, self.lower + (axis,))
+        return JetSymbol(self[0], self[1], self[2] + (axis,))
 
     def __str__(self) -> str:
         s = self.base
@@ -49,6 +49,9 @@ class JetSymbol:
         for i in self.lower:
             s += f"_,{i}"
         return s
+
+    def __repr__(self) -> str:
+        return f"JetSymbol(base={self.base!r}, upper={self.upper!r}, lower={self.lower!r})"
 
 
 # A monomial is a sorted tuple of (symbol, exponent) pairs.
@@ -285,7 +288,7 @@ class DiffPolynomial:
                             del d[s]
                         else:
                             d[s] -= k
-            return tuple(sorted(d.items(), key=lambda kv: kv[0]))
+            return tuple(sorted(d.items(), key=_by_factor))
 
         return DiffPolynomial(collect((reduce(m), c) for m, c in self.terms.items()))
 
@@ -301,7 +304,7 @@ class DiffPolynomial:
 
 
 def _mono_sort_key(m: JetMono):
-    return (-sum(e for _, e in m), tuple((s.base, s.upper, s.lower, e) for s, e in m))
+    return (-sum(e for _, e in m), m)
 
 
 def _derive_symbol(sym: JetSymbol, axis: int) -> DiffPolynomial:

@@ -3,9 +3,12 @@
 An operator is a finite sum  sum_(r,alpha) c_{r,alpha}(x) L^r D^alpha  with
 coefficient functions to the left, powers of the weight generator L (which
 multiplies a density by its weight and is central here) in the middle, and
-symmetric derivative multi-indices D^alpha on the right.  Composition
-normal-orders via the Leibniz rule; the adjoint is the formal integration-by-
-parts anti-automorphism generated by L* = 1 - L, D* = -D, f* = f.
+symmetric derivative multi-indices D^alpha on the right.  Composition and
+the adjoint normal-order by the closed Leibniz sum D^alpha o c = sum over
+beta <= alpha of C(alpha, beta) d^(alpha - beta)(c) D^beta, each derivative
+of c taken once; composition groups the left factor's terms by alpha, as L is
+central.  The adjoint is the formal integration-by-parts anti-automorphism
+generated by L* = 1 - L, D* = -D, f* = f.
 
 All values are immutable by convention and safe to share across threads.
 """
@@ -15,6 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
@@ -24,7 +28,7 @@ from .errors import (
     ZeroOperatorError,
 )
 from .jets import DiffPolynomial
-from .scalars import Scalar, collect, render_sum
+from .scalars import Scalar, collect, mono_mul, render_sum
 
 TermKey = Tuple[int, Tuple[int, ...]]
 
@@ -133,23 +137,33 @@ class DensityOperator:
         return self.compose(other)
 
     def compose(self, other: "DensityOperator") -> "DensityOperator":
-        """Normal form of self o other."""
+        """Normal form of self o other: each D^alpha1 o c2 by the closed
+        Leibniz sum on one derivative table of c2, shared by self's terms
+        with that alpha1; products go into one dict of jet monomials per
+        result key, and each coefficient is built once at the end."""
         self._check_dim(other)
-        # D^alpha1 o c2 = sum_beta coeff_beta D^beta  (Leibniz)
-        return DensityOperator(self.dim, collect(
-            ((r1 + r2, tuple(sorted(beta + alpha2))), c1 * g)
-            for (r1, alpha1), c1 in self.terms.items()
-            for (r2, alpha2), c2 in other.terms.items()
-            for beta, g in _push_derivatives(alpha1, c2).items()))
+        groups = collect((alpha1, [(r1, c1)]) for (r1, alpha1), c1 in self.terms.items())
+        out: Dict[TermKey, dict] = {}
+        for (r2, alpha2), c2 in other.terms.items():
+            derivs = {(): c2}
+            for alpha1, left in groups.items():
+                for beta, g in _leibniz(alpha1, derivs):
+                    beta = tuple(sorted(beta + alpha2))
+                    for r1, c1 in left:
+                        collect(((mono_mul(m1, m2), a1 * a2) for m1, a1 in c1.terms.items()
+                                 for m2, a2 in g), out.setdefault((r1 + r2, beta), {}))
+        return DensityOperator(self.dim, {k: DiffPolynomial(t) for k, t in out.items()})
 
     def adjoint(self) -> "DensityOperator":
         """Formal adjoint: L -> 1 - L, D -> -D, f -> f, products reversed."""
         # (-1)^|alpha| (1-L)^r (D^alpha o c), with (1-L)^r expanded into L powers
-        return DensityOperator(self.dim, collect(
-            ((j, beta), g * Fraction(comb(r, j) * (-1) ** (j + len(alpha))))
-            for (r, alpha), c in self.terms.items()
-            for beta, g in _push_derivatives(alpha, c).items()
-            for j in range(r + 1)))
+        out: Dict[TermKey, dict] = {}
+        for (r, alpha), c in self.terms.items():
+            derivs = {(): c}
+            for j in range(r + 1):
+                for beta, g in _leibniz(alpha, derivs, comb(r, j) * (-1) ** (j + len(alpha))):
+                    collect(g, out.setdefault((j, beta), {}))
+        return DensityOperator(self.dim, {k: DiffPolynomial(t) for k, t in out.items()})
 
     def commutator(self, other: "DensityOperator") -> "DensityOperator":
         return self @ other - other @ self
@@ -259,22 +273,24 @@ class DensityOperator:
         return f"DensityOperator(d={self.dim}, {self.render()})"
 
 
-def _push_derivatives(alpha: Tuple[int, ...], coeff: DiffPolynomial
-                      ) -> Dict[Tuple[int, ...], DiffPolynomial]:
-    """Normal-order D^alpha o coeff as sum_beta out[beta] D^beta."""
-
-    def leibniz(table, axis):
-        # D_axis o g = g D_axis + d_axis(g)
-        for beta, g in table.items():
-            yield tuple(sorted(beta + (axis,))), g
-            dg = g.derive(axis)
-            if not dg.is_zero():
-                yield beta, dg
-
-    table = {(): coeff}
-    for axis in alpha:
-        table = collect(leibniz(table, axis))
-    return table
+def _leibniz(alpha: Tuple[int, ...], derivs: Dict[Tuple[int, ...], DiffPolynomial],
+             scale: int = 1):
+    """D^alpha o c as (beta, scale * C(alpha, beta) * d^(alpha - beta) c) for
+    every beta <= alpha, the coefficient as (jet monomial, Scalar) pairs.
+    derivs starts as {(): c} and keeps each derivative of c taken, with its
+    axes applied in sorted order."""
+    counts = collect((axis, 1) for axis in alpha)
+    for ks in product(*(range(n + 1) for n in counts.values())):
+        beta, gamma, weight = (), (), scale
+        for (axis, n), k in zip(counts.items(), ks):
+            beta += (axis,) * k
+            gamma += (axis,) * (n - k)
+            weight *= comb(n, k)
+        for i, axis in enumerate(gamma):
+            if gamma[:i + 1] not in derivs:
+                derivs[gamma[:i + 1]] = derivs[gamma[:i]].derive(axis)
+        g = derivs[gamma].terms.items()
+        yield beta, g if weight == 1 else [(m, a * weight) for m, a in g]
 
 
 # -- function forms of the core operations -------------------------------------

@@ -264,6 +264,13 @@ def test_weight_free_guard_has_one_message(capsys):
         assert captured.err == "error: operator must not contain the weight generator\n"
 
 
+def test_cli_adjoint_through_intermediate_swell(capsys):
+    # parsing normal-orders D^alpha o (f g) into 64 terms; the adjoint
+    # pushes them all back to a single one
+    assert main(["--dim", "4", "adjoint", "(D1 D2 D3)^3 f g"]) == 0
+    assert capsys.readouterr().out == "-f*g*D1*D1*D1*D2*D2*D2*D3*D3*D3\n"
+
+
 def test_cli_lift_second_exceptional_weight(capsys):
     code = main(["--dim", "1", "--lambda0", "1/2", "lift", "second", "a D1 D1"])
     assert code == 1

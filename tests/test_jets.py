@@ -1,5 +1,7 @@
 """Jet ring: total derivative, rules, substitution, ring axioms."""
 
+import copy
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -161,3 +163,38 @@ def polys(draw):
 @given(polys(), polys())
 def test_leibniz_property(p, q):
     assert (p * q).derive(1) == p.derive(1) * q + p * q.derive(1)
+
+
+def test_pickle_and_deepcopy_round_trip():
+    from denslift.lifting import VolumeForm, canonical_lift
+    from denslift.operators import generic_second_order
+
+    sym = JetSymbol("S", (2, 1), (1,))
+    poly = DiffPolynomial.of_symbol(sym) * Scalar.param("l0") - DiffPolynomial.jet("T", (1,)) ** 2
+    lift = canonical_lift(generic_second_order(2), Scalar.param("l0"), VolumeForm.generic())
+    for value in (sym, poly, lift):
+        assert pickle.loads(pickle.dumps(value)) == value
+        assert copy.deepcopy(value) == value
+    assert pickle.loads(pickle.dumps(sym)).lower == (1,)
+
+
+def test_symbols_sort_by_base_then_upper_then_lower():
+    shuffled = [JetSymbol("S", (2,)), JetSymbol("T"), JetSymbol("S", (1, 2)),
+                JetSymbol("S", (1,), (2,)), JetSymbol("R", (3,), (3,)),
+                JetSymbol("S", (1, 1), (1,)), JetSymbol("S", (1,)), JetSymbol("S", (), (1, 1))]
+    assert sorted(shuffled) == [
+        JetSymbol("R", (3,), (3,)),
+        JetSymbol("S", (), (1, 1)),
+        JetSymbol("S", (1,)),
+        JetSymbol("S", (1,), (2,)),
+        JetSymbol("S", (1, 1), (1,)),
+        JetSymbol("S", (1, 2)),
+        JetSymbol("S", (2,)),
+        JetSymbol("T"),
+    ]
+    # monomials render by degree, then factor by factor in that order
+    poly = sum((DiffPolynomial.of_symbol(s) for s in shuffled), DiffPolynomial.zero())
+    poly = poly + DiffPolynomial.jet("S", (1,)) ** 2 + DiffPolynomial.jet("S", (1,), (2,)) * T1
+    assert str(poly) == ("S[1]^2 + S[1]_,2*T[1] + R[3]_,3 + S_,1_,1 + S[1] + S[1]_,2"
+                         " + S[1,1]_,1 + S[1,2] + S[2] + T")
+    assert repr(JetSymbol("S", (2, 1), (1,))) == "JetSymbol(base='S', upper=(1, 2), lower=(1,))"

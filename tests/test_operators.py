@@ -77,6 +77,51 @@ def test_adjoint_second_order_closed_form():
     assert op.adjoint() == expected
 
 
+def fd(*lower):
+    return DiffPolynomial.jet("f", (), lower)
+
+
+def test_compose_third_power_closed_form():
+    d1_cubed = DensityOperator(1, {(0, (1, 1, 1)): DiffPolynomial.const(1)})
+    assert d1_cubed @ DensityOperator.function(1, f) == DensityOperator(1, {
+        (0, (1, 1, 1)): f, (0, (1, 1)): 3 * fd(1), (0, (1,)): 3 * fd(1, 1), (0, ()): fd(1, 1, 1)})
+
+
+def test_compose_mixed_multi_index_binomial_weights():
+    # D1^2 D2 o f: beta runs over the six sub-multi-indices of (1, 1, 2)
+    op = DensityOperator(2, {(0, (1, 1, 2)): DiffPolynomial.const(1)})
+    assert op @ DensityOperator.function(2, f) == DensityOperator(2, {
+        (0, (1, 1, 2)): f, (0, (1, 2)): 2 * fd(1), (0, (2,)): fd(1, 1),
+        (0, (1, 1)): fd(2), (0, (1,)): 2 * fd(1, 2), (0, ()): fd(1, 1, 2)})
+
+
+def test_adjoint_mixed_multi_index_by_hand():
+    # (f D1^2 D2)* = -D1^2 D2 o f
+    op = DensityOperator(2, {(0, (1, 1, 2)): f})
+    assert op.adjoint() == DensityOperator(2, {
+        (0, (1, 1, 2)): -f, (0, (1, 2)): -2 * fd(1), (0, (2,)): -fd(1, 1),
+        (0, (1, 1)): -fd(2), (0, (1,)): -2 * fd(1, 2), (0, ()): -fd(1, 1, 2)})
+    # (f L D1)* = -(1 - L)(D1 o f)
+    assert DensityOperator(2, {(1, (1,)): f}).adjoint() == DensityOperator(2, {
+        (0, (1,)): -f, (0, ()): -fd(1), (1, (1,)): f, (1, ()): fd(1)})
+
+
+def test_compose_through_ruled_symbols_matches_sequential_apply():
+    # E = exp(x1 x2): a rule on two axes, next to the coordinate rule of x[i]
+    from denslift.jets import REGISTRY
+
+    E = DiffPolynomial.jet("Eexp")
+    x1, x2 = DiffPolynomial.jet("x", (1,)), DiffPolynomial.jet("x", (2,))
+    REGISTRY.ensure("Eexp", {1: x2 * E, 2: x1 * E})
+    rng = random.Random(19)
+    s = generic_density(2)
+    right = DensityOperator(2, {(0, (2,)): x1 * E + g, (1, ()): x2 * x2 * E * E,
+                                (0, (1, 1)): x1 * x2})
+    for _ in range(6):
+        left = random_operator(rng, 2, max_total=3)
+        assert (left @ right).apply(s) == left.apply(right.apply(s))
+
+
 def test_restrict_replaces_weight_powers():
     op = DensityOperator(1, {(2, (1,)): DiffPolynomial.const(1), (1, ()): DiffPolynomial.const(1)})
     got = op.restrict(2)
