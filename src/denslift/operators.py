@@ -7,8 +7,9 @@ symmetric derivative multi-indices D^alpha on the right.  Composition and
 the adjoint normal-order by the closed Leibniz sum D^alpha o c = sum over
 beta <= alpha of C(alpha, beta) d^(alpha - beta)(c) D^beta, each derivative
 of c taken once; composition groups the left factor's terms by alpha, as L is
-central.  The adjoint is the formal integration-by-parts anti-automorphism
-generated by L* = 1 - L, D* = -D, f* = f.
+central, and merges each group by jet monomial, so that one monomial product
+serves every L power.  The adjoint is the formal integration-by-parts
+anti-automorphism generated by L* = 1 - L, D* = -D, f* = f.
 
 All values are immutable by convention and safe to share across threads.
 """
@@ -139,19 +140,31 @@ class DensityOperator:
     def compose(self, other: "DensityOperator") -> "DensityOperator":
         """Normal form of self o other: each D^alpha1 o c2 by the closed
         Leibniz sum on one derivative table of c2, shared by self's terms
-        with that alpha1; products go into one dict of jet monomials per
-        result key, and each coefficient is built once at the end."""
+        with that alpha1, whose coefficients are merged by jet monomial so
+        that each product m1 m2 is formed once for all their L powers r1.
+        Products go into one monomial dict per result key, each built once."""
         self._check_dim(other)
-        groups = collect((alpha1, [(r1, c1)]) for (r1, alpha1), c1 in self.terms.items())
+        # alpha1 -> (its L powers, {m1: [(index of r1 in the powers, a1), ...]})
+        groups: Dict[Tuple[int, ...], tuple] = {}
+        for (r1, alpha1), c1 in self.terms.items():
+            powers, merged = groups.setdefault(alpha1, ([], {}))
+            for m1, a1 in c1.terms.items():
+                merged.setdefault(m1, []).append((len(powers), a1))
+            powers.append(r1)
         out: Dict[TermKey, dict] = {}
         for (r2, alpha2), c2 in other.terms.items():
             derivs = {(): c2}
-            for alpha1, left in groups.items():
+            for alpha1, (powers, merged) in groups.items():
                 for beta, g in _leibniz(alpha1, derivs):
                     beta = tuple(sorted(beta + alpha2))
-                    for r1, c1 in left:
-                        collect(((mono_mul(m1, m2), a1 * a2) for m1, a1 in c1.terms.items()
-                                 for m2, a2 in g), out.setdefault((r1 + r2, beta), {}))
+                    dst = [out.setdefault((r1 + r2, beta), {}) for r1 in powers]
+                    for m1, left in merged.items():
+                        for m2, a2 in g:
+                            m = mono_mul(m1, m2)
+                            for i, a1 in left:
+                                t = dst[i]
+                                prev = t.get(m)
+                                t[m] = a1 * a2 if prev is None else prev + a1 * a2
         return DensityOperator(self.dim, {k: DiffPolynomial(t) for k, t in out.items()})
 
     def adjoint(self) -> "DensityOperator":

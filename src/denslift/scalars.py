@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd
 from operator import itemgetter
 from typing import Dict, Mapping, Union
@@ -153,11 +154,12 @@ def _mul(a, b, k: int):
             a = tuple([_mul(x, c, k - 1) if x else x for x in a])
         return (zero,) * (n - 1) + a
     if k == 1:
-        m = len(a)
-        out = [0] * (m + n - 1)
-        for j, y in enumerate(b):
-            if y:
-                out[j:j + m] = [o + x * y for o, x in zip(out[j:j + m], a)]
+        out = [0] * (len(a) + n - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    if y:
+                        out[j] += x * y
         return tuple(out)
     out = [()] * (len(a) + n - 1)
     for i, x in enumerate(a):
@@ -449,6 +451,16 @@ def _plus(a: "Scalar", b: "Scalar") -> "Scalar":
     if not a._vars and not b._vars:
         u = x1 + x2
         return _finish((), u, l, 1, 1) if u else ZERO
+    if len(a._vars) == 1 and a._vars == b._vars and len(a._d) == 1 == len(b._d):
+        # one parameter over constant denominators: one pass over the coefficients,
+        # whose gcd is the content; _finish drops the parameter from a constant sum
+        u = [x1 * s + x2 * t for s, t in zip_longest(a._n, b._n, fillvalue=0)]
+        while u and not u[-1]:
+            u.pop()
+        if not u:
+            return ZERO
+        m = gcd(*u) if u[-1] > 0 else -gcd(*u)
+        return _finish(a._vars, m, l, tuple([c // m for c in u]), a._d)
     names, n1, d1, n2, d2 = _common(a, b)
     k = len(names)
     if d1 == d2:
@@ -483,6 +495,10 @@ def _times(a: "Scalar", b: "Scalar") -> "Scalar":
         h = gcd(p, q)
         s = b if not a._vars else a
         return Scalar(s._vars, p // h, q // h, s._n, s._d)
+    if len(a._vars) == 1 and a._vars == b._vars and len(a._d) == 1 == len(b._d):
+        # one parameter over constant denominators: the numerators' product is
+        # primitive with a positive leading coefficient (Gauss's lemma), no gcd
+        return _finish(a._vars, p, q, _mul(a._n, b._n, 1), a._d)
     names, n1, d1, n2, d2 = _common(a, b)
     k = len(names)
     n1, d2 = _cancel(n1, d2, k)
@@ -592,6 +608,8 @@ class Scalar:
         return self + (-Scalar.of(other))
 
     def __rsub__(self, other) -> "Scalar":
+        if not isinstance(other, (int, Fraction, Scalar)):
+            return NotImplemented
         return Scalar.of(other) + (-self)
 
     def __mul__(self, other) -> "Scalar":
@@ -611,6 +629,8 @@ class Scalar:
         return _times(self, _inverse(other))
 
     def __rtruediv__(self, other) -> "Scalar":
+        if not isinstance(other, (int, Fraction, Scalar)):
+            return NotImplemented
         return Scalar.of(other) / self
 
     def __pow__(self, n: int) -> "Scalar":
@@ -621,8 +641,9 @@ class Scalar:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:   # no square past the top bit
+                base = base * base
         return out
 
     def __eq__(self, other) -> bool:

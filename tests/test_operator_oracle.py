@@ -15,6 +15,7 @@ import pytest
 
 from denslift.jets import DiffPolynomial
 from denslift.operators import Density, DensityOperator
+from denslift.scalars import Scalar
 
 sympy = pytest.importorskip("sympy")
 
@@ -160,3 +161,63 @@ def test_restrict_matches_sympy():
         f = sympy_poly(f_data)
         # weight-free now: the density's own weight mu no longer enters
         assert act(sympy_terms(restricted), f, rational(mu)) == act(a_sym, f, rational(w))
+
+
+# -- coefficients polynomial in l0 -------------------------------------------------
+# compose merges the left factor's terms that share a multi-index by jet
+# monomial, and its Scalar products and sums then run over polynomials in l0.
+# These operators put every L power 0..2 on one multi-index, over a few shared
+# x-monomials, with coefficients polynomial in l0; the action is compared at a
+# symbolic weight w, so every L power is checked on its own.
+
+L0, W = sympy.symbols("l0 w")
+
+
+def random_l0_poly_data(rng):
+    """{power of l0: nonzero Fraction}."""
+    return {rng.randint(0, 2): Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.randint(1, 4))
+            for _ in range(rng.randint(1, 3))}
+
+
+def random_weighted_operator_data(rng, dim):
+    """{(r, alpha): {x exponents: l0 data}} with L^0, L^1 and L^2 on one alpha
+    over shared x-monomials, plus one term on another alpha."""
+    alpha = tuple(rng.randint(1, dim) for _ in range(rng.randint(0, 2)))
+    monos = [tuple(rng.randint(0, 2) for _ in range(dim)) for _ in range(3)]
+    data = {(r, alpha): {exps: random_l0_poly_data(rng)
+                         for exps in rng.sample(monos, rng.randint(2, 3))} for r in range(3)}
+    other = tuple(rng.randint(1, dim) for _ in range(rng.randint(0, 3)))
+    data.setdefault((rng.randint(0, 1), other), {monos[0]: random_l0_poly_data(rng)})
+    return data
+
+
+def engine_l0_poly(data):
+    l0 = Scalar.param("l0")
+    out = DiffPolynomial.zero()
+    for exps, coeffs in data.items():
+        scalar = sum((c * l0 ** e for e, c in coeffs.items()), Scalar.of(0))
+        out = out + engine_poly({exps: Fraction(1)}) * scalar
+    return out
+
+
+def sympy_l0_poly(data):
+    return sympy.expand(sum(
+        sympy.Rational(c.numerator, c.denominator) * L0 ** e
+        * sympy.Mul(*(x ** k for x, k in zip(X, exps)))
+        for exps, coeffs in data.items() for e, c in coeffs.items()))
+
+
+def test_compose_with_l0_coefficients_matches_sympy():
+    rng = random.Random("compose-l0")
+    for _ in range(10):
+        dim = rng.randint(1, 2)
+        a_data, b_data = (random_weighted_operator_data(rng, dim),
+                          random_weighted_operator_data(rng, dim))
+        A = DensityOperator(dim, {key: engine_l0_poly(p) for key, p in a_data.items()})
+        B = DensityOperator(dim, {key: engine_l0_poly(p) for key, p in b_data.items()})
+        f_data = random_poly_data(rng, dim, 4)
+        out = (A @ B).apply(Density(engine_poly(f_data), Scalar.param("w")))
+        a_sym = {key: sympy_l0_poly(p) for key, p in a_data.items()}
+        b_sym = {key: sympy_l0_poly(p) for key, p in b_data.items()}
+        expected = act(a_sym, act(b_sym, sympy_poly(f_data), W), W)
+        assert sympy.expand(sympy_jet_poly(out.coeff) - expected) == 0

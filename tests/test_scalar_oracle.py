@@ -147,3 +147,74 @@ def test_coefficients_in_match_sympy(poly, mixed, other):
     assert sorted(got) == sorted(expected)
     for e, coeff in got.items():
         assert same(coeff, expected[e])
+
+
+# -- one parameter over a constant denominator ---------------------------------
+# Most coefficients inside compose are polynomials in l0 alone; their sums and
+# products take a path of their own, checked here against sympy and against
+# the same values reached through a second parameter k1, which goes the
+# general way and is dropped again at the end.
+
+K = Scalar.param("k1")
+
+
+@st.composite
+def polynomials_in_l0(draw):
+    """c * (sum of c_i l0^i) with a rational content c, as a Scalar and in sympy."""
+    scalar, expr = build([(c, i, 0, 0) for c, i in draw(
+        st.lists(st.tuples(st.integers(-6, 6), st.integers(0, 3)), max_size=4))])
+    content = Fraction(draw(st.sampled_from([1, -1, 2, -3, 5])), draw(st.integers(1, 6)))
+    return scalar * content, expr * sympy.Rational(content.numerator, content.denominator)
+
+
+def fields(s: Scalar):
+    return s._vars, s._p, s._q, s._n, s._d
+
+
+def check_both_routes(got, expr, other_route):
+    assert same(got, expr)
+    assert fields(got) == fields(other_route)
+    assert hash(got) == hash(other_route)
+
+
+def check_sum_and_product(a, b):
+    (sa, ea), (sb, eb) = a, b
+    check_both_routes(sa + sb, ea + eb, (sa + K) + (sb - K))
+    check_both_routes(sa - sb, ea - eb, (sa + K) - (sb + K))
+    check_both_routes(sa * sb, ea * eb, (sa * K) * (sb / K))
+
+
+@settings(max_examples=80, deadline=None)
+@given(polynomials_in_l0(), polynomials_in_l0())
+def test_polynomials_in_one_parameter_match_sympy_and_the_bivariate_route(a, b):
+    check_sum_and_product(a, b)
+
+
+def l0_poly(*coeffs):
+    """sum coeffs[i] l0^i, as a Scalar and in sympy."""
+    return build([(c, i, 0, 0) for i, c in enumerate(coeffs)])
+
+
+def test_one_parameter_sums_that_drop_or_vanish():
+    # the l0 terms cancel: the sum is the constant -1/2, with no parameter left
+    a, b = l0_poly(1, 3), l0_poly(-2, -3)
+    a, b = (a[0] / 2, a[1] / 2), (b[0] / 2, b[1] / 2)
+    total = a[0] + b[0]
+    assert total == Fraction(-1, 2) and fields(total) == fields(Scalar.of(Fraction(-1, 2)))
+    assert hash(total) == hash(Fraction(-1, 2))
+    check_sum_and_product(a, b)
+    # a sum to zero, and negative leading coefficients on both sides
+    p = l0_poly(0, -1, 2, -4)
+    assert fields(p[0] - p[0]) == fields(Scalar.of(0))
+    check_sum_and_product(p, (-p[0], -p[1]))
+    check_sum_and_product(p, l0_poly(3, 0, -5))
+    check_sum_and_product(l0_poly(0, 0, -7), l0_poly(0, 4, 7))
+
+
+def test_rationals_plus_one_parameter_polynomials():
+    p = l0_poly(-2, 0, 3)
+    for other in ((Scalar.of(Fraction(-1, 3)), sympy.Rational(-1, 3)),
+                  (1 / p[0], 1 / p[1]), (l0_poly(1, 1)[0] / l0_poly(0, 1, -2)[0],
+                                         (1 + L0) / (L0 - 2 * L0 ** 2))):
+        check_sum_and_product(p, other)
+        check_sum_and_product(other, p)

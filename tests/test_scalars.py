@@ -62,6 +62,37 @@ def test_pow_and_inverse():
     assert (s * s ** -1).is_one()
 
 
+def test_pow_squares_only_up_to_the_top_bit(monkeypatch):
+    products = []
+    mul = Scalar.__mul__
+
+    def counting(self, other):
+        products.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Scalar, "__mul__", counting)
+    p = (2 * l0 - 1) / (l0 + 3)
+    # one product per set bit (the first against 1), one square per bit below the top
+    for n, count in ((0, 0), (1, 1), (2, 2), (5, 4), (8, 4)):
+        products.clear()
+        value = p ** n
+        assert len(products) == count, n
+        expected = Scalar.of(1)
+        for _ in range(n):
+            expected = mul(expected, p)   # the uncounted original
+        assert value == expected
+
+
+@pytest.mark.parametrize("other", ["1/2", 1.5, None, [1]])
+def test_arithmetic_with_other_types_raises_both_ways(other):
+    for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y,
+               lambda x, y: x / y):
+        with pytest.raises(TypeError):
+            op(l0, other)
+        with pytest.raises(TypeError):
+            op(other, l0)
+
+
 def test_str_roundtrips_are_stable():
     s = (2 * l0 - 1) / (l0 * (l0 - 1))
     assert str(s) == str((2 * l0 - 1) / (l0 * (l0 - 1)))
