@@ -161,7 +161,7 @@ class DensityOperator:
                     for m1, left in merged.items():
                         for m2, a2 in g:
                             m = mono_mul(m1, m2)
-                            for i, a1 in left:
+                            for i, a1 in left:   # collect's step, one target per power
                                 t = dst[i]
                                 prev = t.get(m)
                                 t[m] = a1 * a2 if prev is None else prev + a1 * a2
