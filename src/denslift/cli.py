@@ -233,8 +233,8 @@ class _Parser:
                 return value
 
     def _power(self, value, n: int):
-        out = self._one()
-        for _ in range(n):
+        out = value if n else self._one()
+        for _ in range(n - 1):
             out = self._combine(out, value)
         return out
 
@@ -436,8 +436,8 @@ def _parse_params(spec: Optional[str]) -> Dict[str, Scalar]:
     return out
 
 
-def _vol_params(cfg: SessionConfig, order: int) -> VolLiftParams:
-    n = order
+def _vol_params(cfg: SessionConfig, delta: DensityOperator) -> VolLiftParams:
+    n = 0 if delta.is_zero() else delta.total_order()
     for name in cfg.params:
         m = re.match(r"^[cd](\d+)$", name)
         if m:
@@ -453,7 +453,7 @@ def _vol_params(cfg: SessionConfig, order: int) -> VolLiftParams:
 _LIFTS = {
     "canonical": lambda d, cfg: canonical_lift(d, cfg.lambda0, cfg.volume),
     "vol": lambda d, cfg: vol_lift(d, cfg.lambda0, cfg.volume,
-                                   _vol_params(cfg, d.total_order())),
+                                   _vol_params(cfg, d)),
     "distinguished": lambda d, cfg: distinguished_lift(d, cfg.lambda0, cfg.volume),
     "first": lambda d, cfg: first_order_lift(d, cfg.lambda0,
                                              cfg.params.get("c", Scalar.of(0))),
@@ -491,7 +491,8 @@ def _check_equivariance(cfg) -> Tuple[bool, str]:
     defect = ad_on_lifting(handle, delta, X)
     if defect.is_zero():
         return True, "second-order canonical lift has zero defect"
-    return False, f"nonzero defect term: {_first_term(defect)}"
+    first = DensityOperator(dim, dict(defect.sorted_terms()[:1]))
+    return False, f"nonzero defect term: {first.render()}"
 
 
 def _check_variation(cfg) -> Tuple[bool, str]:
@@ -573,12 +574,6 @@ _CHECKS = {
     "selfadjoint": _check_selfadjoint,
     "cocycle": _check_cocycle,
 }
-
-
-def _first_term(op: DensityOperator) -> str:
-    (r, alpha), c = op.sorted_terms()[0]
-    gens = "*".join(["L"] * r + [f"D{a}" for a in alpha])
-    return f"({c}){'*' + gens if gens else ''}"
 
 
 def _random_poly(rng, dim):

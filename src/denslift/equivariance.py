@@ -12,7 +12,6 @@ last axis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from typing import Callable, Optional, Sequence, Tuple
 
 from . import lifting, projective
@@ -31,6 +30,7 @@ from .operators import (
     ad_vf,
     coefficient_tensors,
     generic_second_order,
+    generic_tensor,
     tensor_divergence,
     tensor_operator,
     vector_divergence,
@@ -41,12 +41,11 @@ VectorField = Sequence[DiffPolynomial]
 
 
 def divergence(components: VectorField, rho: VolumeForm) -> DiffPolynomial:
-    """div_rho X = d_i X^i + X^i d_i log rho."""
+    """div_rho X = d_i X^i - X^i Gamma_i, with Gamma_i = -d_i log rho."""
     out = vector_divergence(components)
     if not rho.is_coordinate:
-        log_jet = rho.log_density()
         for i, comp in enumerate(components, start=1):
-            out = out + comp * log_jet.derive(i)
+            out = out - comp * rho.gamma(i)
     return out
 
 
@@ -230,9 +229,7 @@ class DivFreeTensor:
 
     def operator(self) -> DensityOperator:
         """S^{i1..ik} D_i1..D_ik summed over all index tuples."""
-        indices = combinations_with_replacement(range(1, self.dim + 1), self.rank)
-        return tensor_operator({idx: DiffPolynomial.jet("S", idx) for idx in indices},
-                               self.dim)
+        return tensor_operator(generic_tensor("S", self.dim, self.rank), self.dim)
 
     def reduce(self, obj):
         return _eliminate_divergence(obj, "S", self.dim) if self.constrained else obj

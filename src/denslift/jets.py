@@ -146,8 +146,7 @@ class DiffPolynomial:
 
     @staticmethod
     def jet(base: str, upper: Iterable[int] = (), lower: Iterable[int] = ()) -> "DiffPolynomial":
-        sym = JetSymbol(base, tuple(upper), tuple(lower))
-        return DiffPolynomial({((sym, 1),): Scalar.of(1)})
+        return DiffPolynomial.of_symbol(JetSymbol(base, tuple(upper), tuple(lower)))
 
     @staticmethod
     def of_symbol(sym: JetSymbol) -> "DiffPolynomial":
@@ -204,8 +203,8 @@ class DiffPolynomial:
     def __pow__(self, n: int) -> "DiffPolynomial":
         if n < 0:
             raise ValueError("negative powers of jet polynomials are not defined")
-        out = DiffPolynomial.const(1)
-        for _ in range(n):
+        out = self if n else DiffPolynomial.const(1)
+        for _ in range(n - 1):
             out = out * self
         return out
 
@@ -256,18 +255,19 @@ class DiffPolynomial:
         current = self
         for _ in range(MAX_REWRITE_ROUNDS):
             hit = None
-            out = DiffPolynomial.zero()
+            pieces = []
             for m, c in current.terms.items():
-                factor = DiffPolynomial({(): c})
+                kept, factor = [], DiffPolynomial({(): c})
                 for sym, exp in m:
                     image = rewrite(sym)
                     if image is None:
-                        factor = factor * DiffPolynomial({((sym, exp),): Scalar.of(1)})
+                        kept.append((sym, exp))
                     else:
                         hit = sym
                         factor = factor * image ** exp
-                out = out + factor
-            current = out
+                kept = tuple(kept)   # a sub-tuple of a sorted monomial stays sorted
+                pieces += [(mono_mul(kept, fm), fc) for fm, fc in factor.terms.items()]
+            current = DiffPolynomial(collect(pieces))
             if hit is None:
                 return current
         raise ValueError(f"rewriting {hit} still applies after {MAX_REWRITE_ROUNDS} rounds")

@@ -56,11 +56,6 @@ class VolumeForm:
     def is_coordinate(self) -> bool:
         return self.ell is None
 
-    def log_density(self) -> DiffPolynomial:
-        if self.ell is None:
-            return DiffPolynomial.zero()
-        return DiffPolynomial.jet(self.ell)
-
     def gamma(self, axis: int) -> DiffPolynomial:
         if self.ell is None:
             return DiffPolynomial.zero()
@@ -109,6 +104,13 @@ class GeometricData:
 def _require_not_half(l0: Scalar):
     if l0 == HALF:
         raise ExceptionalWeightError("exceptional weight 1/2")
+
+
+def _require_order(delta: DensityOperator, n: int):
+    """Weight-free, then of order at most n."""
+    delta.require_weight_free()
+    if not delta.is_zero() and delta.x_order() > n:
+        raise OrderTooHighError(f"operator must have order at most {n}")
 
 
 def _require_generic(l0: Scalar):
@@ -161,6 +163,8 @@ def vol_lift(delta: DensityOperator, l0, rho: VolumeForm,
     """Regular lifting family A(L) P + B(L) P* + C(L) P(1) + D(L) P*(1)."""
     delta.require_weight_free()
     l0 = Scalar.of(l0)
+    if delta.is_zero():
+        return delta
     n = params.n
     if n < delta.total_order():
         raise OrderViolationError(
@@ -180,7 +184,9 @@ def distinguished_lift(delta: DensityOperator, l0, rho: VolumeForm) -> DensityOp
     """The unique (anti-)self-adjoint point of the regular lifting line."""
     delta.require_weight_free()
     l0 = Scalar.of(l0)
-    _require_not_half(l0)   # before total_order, which rejects the zero operator
+    _require_not_half(l0)
+    if delta.is_zero():
+        return delta
     polys = distinguished_coefficients(delta.dim, l0, delta.total_order())
     return apply_family(polys, canonical_lift(delta, l0, rho))
 
@@ -223,9 +229,7 @@ def first_order_lift(delta: DensityOperator, l0, c) -> DensityOperator:
 def decompose_first_order(delta: DensityOperator, l0
                           ) -> Tuple[List[DiffPolynomial], DiffPolynomial]:
     """Split A^i D_i + B into Lie derivative along A at weight l0 plus scalar."""
-    delta.require_weight_free()
-    if not delta.is_zero() and delta.x_order() > 1:
-        raise OrderTooHighError("operator must have order at most 1")
+    _require_order(delta, 1)
     l0 = Scalar.of(l0)
     comps = [delta.coefficient(0, (i,)) for i in range(1, delta.dim + 1)]
     remainder = delta.coefficient(0, ()) - vector_divergence(comps) * l0
@@ -234,9 +238,7 @@ def decompose_first_order(delta: DensityOperator, l0
 
 def extract_geometric_data(delta: DensityOperator, l0) -> GeometricData:
     """Invert the second-order self-adjoint pencil conditions at weight l0."""
-    delta.require_weight_free()
-    if not delta.is_zero() and delta.x_order() > 2:
-        raise OrderTooHighError("operator must have order at most 2")
+    _require_order(delta, 2)
     l0 = Scalar.of(l0)
     _require_generic(l0)
     dim = delta.dim
@@ -320,7 +322,7 @@ def selfadjoint_family(delta0: DensityOperator, l0, rho: VolumeForm,
     delta0.require_weight_free()
     l0 = Scalar.of(l0)
     _require_not_half(l0)
-    n = delta0.total_order()
+    n = 0 if delta0.is_zero() else delta0.total_order()   # zero has no free data
     dim = delta0.dim
     sign = Fraction((-1) ** n)
     den = 2 * l0 - 1
@@ -346,9 +348,7 @@ def selfadjoint_family(delta0: DensityOperator, l0, rho: VolumeForm,
 
 def limit_lift(delta: DensityOperator, rho: VolumeForm) -> DensityOperator:
     """Weight-0 limit of the canonical construction on normalized operators."""
-    delta.require_weight_free()
-    if not delta.is_zero() and delta.x_order() > 2:
-        raise OrderTooHighError("operator must have order at most 2")
+    _require_order(delta, 2)
     if not delta.app1().is_zero():
         raise NotNormalizedError("operator must annihilate the constant function")
     dim = delta.dim

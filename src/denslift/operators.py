@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import comb, factorial
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
@@ -366,16 +366,16 @@ def tensor_operator(tensor: Tensor, dim: int) -> DensityOperator:
     return DensityOperator(dim, terms)
 
 
+def generic_tensor(base: str, dim: int, rank: int) -> Tensor:
+    """Generic symmetric rank-k tensor: the jet base[idx] at each sorted index tuple."""
+    return {idx: DiffPolynomial.jet(base, idx)
+            for idx in combinations_with_replacement(range(1, dim + 1), rank)}
+
+
 def generic_second_order(dim: int) -> DensityOperator:
     """S^{ij} D_i D_j + T^i D_i + R with fully generic jet coefficients."""
-    terms = {}
-    for i in range(1, dim + 1):
-        for j in range(i, dim + 1):
-            factor = 1 if i == j else 2
-            terms[(0, (i, j))] = DiffPolynomial.jet("S", (i, j)) * factor
-        terms[(0, (i,))] = DiffPolynomial.jet("T", (i,))
-    terms[(0, ())] = DiffPolynomial.jet("R")
-    return DensityOperator(dim, terms)
+    return sum((tensor_operator(generic_tensor(base, dim, rank), dim)
+                for base, rank in (("R", 0), ("T", 1), ("S", 2))), DensityOperator.zero(dim))
 
 
 def vector_divergence(components: Sequence[DiffPolynomial]) -> DiffPolynomial:
@@ -398,5 +398,4 @@ def lie_operator(dim: int, components: Sequence[DiffPolynomial]) -> DensityOpera
 
 def ad_vf(components: Sequence[DiffPolynomial], a: DensityOperator) -> DensityOperator:
     """Commutator with the Lie derivative along the field."""
-    lie = lie_operator(a.dim, list(components))
-    return lie @ a - a @ lie
+    return lie_operator(a.dim, list(components)).commutator(a)

@@ -18,14 +18,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import BadPolynomialError, DimensionNotOneError
 from .jets import DiffPolynomial, JetSymbol, REGISTRY
-from .lifting import _require_not_half, even_t_family, extract_geometric_data
-from .operators import (
-    DensityOperator,
-    coefficient_tensors,
-    multinomial,
-    tensor_divergence,
-    tensor_operator,
-)
+from .lifting import _require_generic, _require_not_half, _require_order, even_t_family
+from .operators import DensityOperator, coefficient_tensors, multinomial, tensor_divergence
 from .scalars import HALF, ONE, ZERO, Scalar, collect, render_sum
 
 # Reciprocal-jet symbols: w = 1/y_x with dw = -w^2 y_xx, and the pair (u, q)
@@ -58,9 +52,6 @@ class SymbolPoly:
 
     def degree(self) -> int:
         return max((len(b) for b in self.terms), default=0)
-
-    def homogeneous_part(self, k: int) -> "SymbolPoly":
-        return SymbolPoly(self.dim, {b: c for b, c in self.terms.items() if len(b) == k})
 
     def coefficient(self, beta) -> DiffPolynomial:
         return self.terms.get(tuple(sorted(beta)), DiffPolynomial.zero())
@@ -120,22 +111,6 @@ class SymbolPoly:
         return f"SymbolPoly(d={self.dim}, {self.render()})"
 
 
-# -- tensor bookkeeping -------------------------------------------------------
-
-def _tensor_to_symbol(tensor: Mapping[Tuple[int, ...], DiffPolynomial], dim: int,
-                      scale: Scalar) -> SymbolPoly:
-    terms = {}
-    for beta, c in tensor.items():
-        poly = c * scale * multinomial(beta)
-        if not poly.is_zero():
-            terms[beta] = poly
-    return SymbolPoly(dim, terms)
-
-
-def _symbol_to_tensor(sym: SymbolPoly) -> Dict[Tuple[int, ...], DiffPolynomial]:
-    return {beta: c * Fraction(1, multinomial(beta)) for beta, c in sym.terms.items()}
-
-
 # -- the full symbol map and its inverse --------------------------------------
 
 def symbol_coeff(n: int, k: int, lam, dim: int) -> Scalar:
@@ -153,18 +128,23 @@ def symbol_coeff(n: int, k: int, lam, dim: int) -> Scalar:
 
 
 def full_symbol(op: DensityOperator, lam) -> SymbolPoly:
-    """Projectively equivariant total symbol, normalized on principal parts."""
+    """Projectively equivariant total symbol, normalized on principal parts:
+    the k-fold divergence of the order-n coefficient tensor, weighted by
+    symbol_coeff(n, k), contracted with the fiber variables."""
     lam = Scalar.of(lam)
-    out = SymbolPoly.zero(op.dim)
-    for n, tensor in coefficient_tensors(op).items():
-        current = tensor
-        for k in range(n + 1):
-            if not current:
-                break
-            out = out + _tensor_to_symbol(current, op.dim, symbol_coeff(n, k, lam, op.dim))
-            current = tensor_divergence(current)
-        # order-0 coefficients have an empty divergence chain after k = 0
-    return out
+
+    def pieces():
+        for n, tensor in coefficient_tensors(op).items():
+            current = tensor
+            for k in range(n + 1):
+                if not current:
+                    break
+                scale = symbol_coeff(n, k, lam, op.dim)
+                for beta, c in current.items():
+                    yield beta, c * scale * multinomial(beta)
+                current = tensor_divergence(current)
+
+    return SymbolPoly(op.dim, collect(pieces()))
 
 
 def principal_symbol(op: DensityOperator) -> SymbolPoly:
@@ -174,15 +154,20 @@ def principal_symbol(op: DensityOperator) -> SymbolPoly:
 
 
 def quantize(sym: SymbolPoly, lam) -> DensityOperator:
-    """Inverse of the full symbol map by degree-descending triangular descent."""
+    """Inverse of the full symbol map by degree-descending triangular descent.
+
+    The top-degree part of the full symbol of an operator is its leading
+    coefficient itself, so each top-degree piece of the remaining symbol is
+    the operator with the same coefficients.
+    """
     lam = Scalar.of(lam)
     dim = sym.dim
     out = DensityOperator.zero(dim)
     remaining = sym
     while not remaining.is_zero():
         n = remaining.degree()
-        top = _symbol_to_tensor(remaining.homogeneous_part(n))
-        op_piece = tensor_operator(top, dim)
+        op_piece = DensityOperator(dim, {(0, beta): c for beta, c in remaining.terms.items()
+                                         if len(beta) == n})
         out = out + op_piece
         remaining = remaining - full_symbol(op_piece, lam)
     return out
@@ -304,13 +289,24 @@ def proj_sa_polynomials(n: int, l0, even_coeffs: Mapping[int, Sequence] = (),
 
 # -- the Schwarzian and one-dimensional coordinate changes ---------------------
 
+def _schwarzian(op: DensityOperator, l0: Scalar, d) -> DiffPolynomial:
+    """theta - 2 gamma' + (2/3) a'' for op = a D^2 + b D + c on the line, with
+    gamma = (b - a')/(2 l0 - 1) and theta = (c - l0 gamma')/(l0 (l0 - 1)),
+    every derivative taken by the derivation d."""
+    a, b, c = (op.coefficient(0, (1,) * k) for k in (2, 1, 0))
+    d_gamma = d((b - d(a)) * (ONE / (2 * l0 - 1)))
+    theta = (c - d_gamma * l0) * (ONE / (l0 * (l0 - 1)))
+    return theta - 2 * d_gamma + Fraction(2, 3) * d(d(a))
+
+
 def schwarzian_data(delta: DensityOperator, l0) -> DiffPolynomial:
     """theta - 2 gamma_x + (2/3) a_xx of a second-order operator on the line."""
     if delta.dim != 1:
         raise DimensionNotOneError("the Schwarzian lives on the line")
-    data = extract_geometric_data(delta, l0)
-    a = delta.coefficient(0, (1, 1))
-    return data.theta - 2 * data.gamma[0].derive(1) + Fraction(2, 3) * a.derive(1).derive(1)
+    _require_order(delta, 2)
+    l0 = Scalar.of(l0)
+    _require_generic(l0)
+    return _schwarzian(delta, l0, lambda f: f.derive(1))
 
 
 @dataclass(frozen=True)
@@ -401,15 +397,7 @@ def transformed_schwarzian_data(delta: DensityOperator, l0,
     coordinate (w d/dx); coefficients stay written in source jets.
     """
     l0 = Scalar.of(l0)
-    moved = coordinate_change_1d(delta, phi).restrict(l0)
-    a_t = moved.coefficient(0, (1, 1))
-    b_t = moved.coefficient(0, (1,))
-    c_t = moved.coefficient(0, ())
-    den = 2 * l0 - 1
-    gamma_t = (b_t - phi.d_y(a_t)) * (ONE / den)
-    theta_t = (c_t - (phi.d_y(b_t) - phi.d_y(phi.d_y(a_t))) * (l0 / den)) * (
-        ONE / (l0 * (l0 - 1)))
-    return theta_t - 2 * phi.d_y(gamma_t) + Fraction(2, 3) * phi.d_y(phi.d_y(a_t))
+    return _schwarzian(coordinate_change_1d(delta, phi).restrict(l0), l0, phi.d_y)
 
 
 def schwarzian_combination(phi: DiffeoJet1D) -> DiffPolynomial:

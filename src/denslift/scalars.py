@@ -580,9 +580,6 @@ class Scalar:
     def is_one(self) -> bool:
         return not self._vars and self._p == 1 and self._q == 1
 
-    def is_rational(self) -> bool:
-        return not self._vars
-
     def as_fraction(self) -> Fraction:
         if self._vars:
             raise ValueError(f"scalar {self} is not a plain rational")
@@ -636,15 +633,14 @@ class Scalar:
     def __pow__(self, n: int) -> "Scalar":
         if n < 0:
             return Scalar.of(1) / (self ** (-n))
-        out = Scalar.of(1)
-        base = self
+        out, base = None, self
         while n:
             if n & 1:
-                out = out * base
+                out = base if out is None else out * base
             n >>= 1
             if n:   # no square past the top bit
                 base = base * base
-        return out
+        return Scalar.of(1) if out is None else out
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Scalar):

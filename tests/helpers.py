@@ -6,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from denslift.jets import DiffPolynomial
-from denslift.operators import Density, DensityOperator
+from denslift.operators import Density, DensityOperator, generic_tensor, tensor_operator
 from denslift.scalars import Scalar
 
 JET_BASES = ["a", "b", "c", "g"]
@@ -51,16 +51,9 @@ def generic_density(dim: int) -> Density:
 
 def generic_third_order(dim: int) -> DensityOperator:
     """S^{ikm} D^3 + G^{ik} D^2 + A^i D + R, generic jets, symmetric tensors."""
-    op = DensityOperator.zero(dim)
-    rng3 = [(i, j, k) for i in range(1, dim + 1)
-            for j in range(1, dim + 1) for k in range(1, dim + 1)]
-    for idx in rng3:
-        op = op + DensityOperator(dim, {(0, tuple(sorted(idx))): DiffPolynomial.jet("S", idx)})
-    for i in range(1, dim + 1):
-        for j in range(1, dim + 1):
-            op = op + DensityOperator(dim, {(0, tuple(sorted((i, j)))): DiffPolynomial.jet("G", (i, j))})
-        op = op + DensityOperator(dim, {(0, (i,)): DiffPolynomial.jet("A", (i,))})
-    return op + DensityOperator.function(dim, DiffPolynomial.jet("R"))
+    return sum((tensor_operator(generic_tensor(base, dim, rank), dim)
+                for base, rank in (("R", 0), ("A", 1), ("G", 2), ("S", 3))),
+               DensityOperator.zero(dim))
 
 
 def load_tracing():

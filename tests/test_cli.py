@@ -578,3 +578,20 @@ def test_fuzzed_round_trip_with_parameter_coefficients():
         c = cfg(dim=dim)
         assert parse_operator(scaled.render(), c) == scaled
         assert operator_from_json(scaled.to_json(), c) == scaled
+
+
+def test_cli_zero_operator_lifts_to_zero(capsys):
+    for how in ("vol", "distinguished", "canonical", "proj"):
+        assert main(["lift", how, "0"]) == 0, how
+        assert capsys.readouterr() == ("0\n", ""), how
+    assert main(["--lambda0", "1/2", "lift", "distinguished", "0"]) == 1
+    assert capsys.readouterr() == ("", "error: exceptional weight 1/2\n")
+
+
+def test_parse_powers_zero_and_one():
+    c = cfg()
+    assert parse_operator("(a D1)^0", c) == DensityOperator.identity(1)
+    assert parse_operator("(a D1)^1", c) == parse_operator("a D1", c)
+    assert parse_operator("(a D1)^3", c) == parse_operator("a D1 a D1 a D1", c)
+    assert parse_symbol("(a xi)^0", c) == parse_symbol("1", c)
+    assert parse_symbol("(a xi)^2", c) == parse_symbol("a^2 xi^2", c)

@@ -198,3 +198,52 @@ def test_symbols_sort_by_base_then_upper_then_lower():
     assert str(poly) == ("S[1]^2 + S[1]_,2*T[1] + R[3]_,3 + S_,1_,1 + S[1] + S[1]_,2"
                          " + S[1,1]_,1 + S[1,2] + S[2] + T")
     assert repr(JetSymbol("S", (2, 1), (1,))) == "JetSymbol(base='S', upper=(1, 2), lower=(1,))"
+
+
+def test_substitute_jets_is_additive_on_large_polynomials():
+    # the divergence constraint on X at dim 3 (two passes for X[3]_,3_,3) and a
+    # rule that turns a into a sum
+    def rule(sym):
+        if sym.base == "a":
+            return DiffPolynomial.jet("b") + 2
+        if sym.base != "X" or 3 not in sym.upper or 3 not in sym.lower:
+            return None
+        upper, lower = list(sym.upper), list(sym.lower)
+        upper.remove(3)
+        lower.remove(3)
+        return -sum((DiffPolynomial.jet("X", upper + [j], lower + [j]) for j in (1, 2)),
+                    DiffPolynomial.zero())
+
+    rng = random.Random(5)
+    pool = [DiffPolynomial.jet("a"), DiffPolynomial.jet("b", (), (1,))] + [
+        DiffPolynomial.jet("X", (i,), lower) for i in (1, 2, 3)
+        for lower in ((), (3,), (1, 3), (3, 3))]
+    for _ in range(3):
+        p = DiffPolynomial.zero()
+        while len(p.terms) <= 100:
+            term = DiffPolynomial.const(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+            for _ in range(rng.randint(1, 3)):
+                term = term * rng.choice(pool)
+            p = p + term
+        pieces = [DiffPolynomial({m: c}).substitute_jets(rule) for m, c in p.terms.items()]
+        assert p.substitute_jets(rule) == sum(pieces, DiffPolynomial.zero())
+    # kept and rewritten factors keep their exponents
+    b1, x3 = DiffPolynomial.jet("b", (), (1,)), DiffPolynomial.jet("X", (3,), (3,))
+    got = (b1 ** 2 * DiffPolynomial.jet("a") ** 2 * x3).substitute_jets(rule)
+    x_div = DiffPolynomial.jet("X", (1,), (1,)) + DiffPolynomial.jet("X", (2,), (2,))
+    assert got == -(b1 ** 2) * (DiffPolynomial.jet("b") + 2) ** 2 * x_div
+
+
+def test_powers_take_one_product_fewer_than_the_exponent(monkeypatch):
+    p = DiffPolynomial.jet("a") + DiffPolynomial.jet("b", (), (1,))
+    products = []
+    mul = DiffPolynomial.__mul__
+
+    def counting(self, other):
+        products.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(DiffPolynomial, "__mul__", counting)
+    assert p ** 0 == 1 and not products
+    assert p ** 1 == p and not products
+    assert p ** 3 == mul(mul(p, p), p) and len(products) == 2

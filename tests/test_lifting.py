@@ -10,6 +10,7 @@ from denslift.errors import (
     HasWeightOperatorError,
     NotNormalizedError,
     OrderTooHighError,
+    OrderViolationError,
 )
 from denslift.jets import DiffPolynomial
 from denslift.lifting import (
@@ -609,3 +610,27 @@ def test_every_lifting_operation_restricts_back():
             cases.append((canonical_lift(third, l0, GEN), third))
         for lifted, source in cases:
             assert lifted.restrict(l0) == source
+
+
+def test_every_lift_of_the_zero_operator_is_zero():
+    # lifting maps are linear
+    from denslift.projective import proj_lift, proj_regular_lift
+
+    for dim in (1, 2):
+        zero = DensityOperator.zero(dim)
+        for rho in (COORD, GEN):
+            lifts = [canonical_lift(zero, l0, rho), distinguished_lift(zero, l0, rho),
+                     vol_lift(zero, l0, rho, VolLiftParams.of(Fraction(1, 2), [1], [0])),
+                     vol_lift(zero, l0, rho, VolLiftParams.of(0, [], [])),
+                     selfadjoint_family(zero, l0, rho), limit_lift(zero, rho)]
+            assert all(lift == zero for lift in lifts), rho
+        for lift in (first_order_lift(zero, l0, 2), second_order_canonical_lift(zero, l0),
+                     proj_lift(zero, l0), proj_regular_lift(zero, l0, [[1]])):
+            assert lift == zero
+    with pytest.raises(ExceptionalWeightError):
+        distinguished_lift(DensityOperator.zero(1), Fraction(1, 2), GEN)
+    with pytest.raises(ExceptionalWeightError):
+        selfadjoint_family(DensityOperator.zero(1), Fraction(1, 2), GEN)
+    with pytest.raises(OrderViolationError):
+        selfadjoint_family(DensityOperator.zero(1), l0, GEN,
+                           [DensityOperator.function(1, DiffPolynomial.jet("F"))])

@@ -6,12 +6,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from denslift.equivariance import DivFreeTensor
 from denslift.errors import DimensionMismatchError, ZeroOperatorError
 from denslift.jets import DiffPolynomial
 from denslift.operators import (
     Density,
     DensityOperator,
     ad_vf,
+    generic_second_order,
     lie_operator,
 )
 from denslift.scalars import Scalar
@@ -322,3 +324,23 @@ def test_concurrent_use_of_shared_values():
     with ThreadPoolExecutor(max_workers=4) as pool:
         parallel = list(pool.map(work, ops * 2))
     assert parallel == sequential * 2
+
+
+def test_generic_second_order_and_tensor_written_out():
+    def jet(base, *idx):
+        return DiffPolynomial.jet(base, idx)
+
+    R = jet("R")
+    s3 = {(0, (1, 1)): jet("S", 1, 1), (0, (1, 2)): 2 * jet("S", 1, 2),
+          (0, (1, 3)): 2 * jet("S", 1, 3), (0, (2, 2)): jet("S", 2, 2),
+          (0, (2, 3)): 2 * jet("S", 2, 3), (0, (3, 3)): jet("S", 3, 3)}
+    assert DivFreeTensor(3, 2).operator() == DensityOperator(3, s3)
+    assert generic_second_order(1) == DensityOperator(1, {
+        (0, (1, 1)): jet("S", 1, 1), (0, (1,)): jet("T", 1), (0, ()): R})
+    assert generic_second_order(2) == DensityOperator(2, {
+        (0, (1, 1)): jet("S", 1, 1), (0, (1, 2)): 2 * jet("S", 1, 2),
+        (0, (2, 2)): jet("S", 2, 2), (0, (1,)): jet("T", 1), (0, (2,)): jet("T", 2),
+        (0, ()): R})
+    assert generic_second_order(3) == DensityOperator(3, {
+        **s3, (0, (1,)): jet("T", 1), (0, (2,)): jet("T", 2), (0, (3,)): jet("T", 3),
+        (0, ()): R})

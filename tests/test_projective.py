@@ -10,6 +10,7 @@ from denslift.errors import (
     DimensionNotOneError,
     ExceptionalWeightError,
     HasWeightOperatorError,
+    OrderTooHighError,
 )
 from denslift.equivariance import ad_weight
 from denslift.jets import DiffPolynomial, JetSymbol
@@ -29,6 +30,7 @@ from denslift.projective import (
     schwarzian_cocycle_check,
     schwarzian_data,
     symbol_coeff,
+    transformed_schwarzian_data,
 )
 from denslift.scalars import Scalar
 
@@ -486,3 +488,27 @@ def test_proj_lift_head_pencil_closed_form():
         (1, ()): axx * Fraction(1, 6),
     })
     assert head == expected
+
+
+def test_transformed_schwarzian_at_identity_and_scaling_is_the_source_one():
+    # both go through one formula; only the derivation differs (d/dx vs w d/dx)
+    rng = random.Random(10)
+    for base in (l0, Fraction(1, 3), 2, Fraction(-5, 7)):
+        for _ in range(4):
+            delta = random_operator(rng, 1, max_total=2).restrict(0)
+            want = schwarzian_data(delta, base)
+            for phi in (DiffeoJet1D.identity(), DiffeoJet1D.scale(2)):
+                assert transformed_schwarzian_data(delta, base, phi) == want, (base, delta)
+
+
+def test_schwarzian_checks_dimension_then_weight_then_order_then_base_weight():
+    weighted_third = DensityOperator(1, {(1, ()): a, (0, (1, 1, 1)): b})
+    third = DensityOperator(1, {(0, (1, 1, 1)): b})
+    for delta, base, error in (
+            (DensityOperator(2, {(1, ()): a, (0, (1, 1, 2)): b}), l0, DimensionNotOneError),
+            (weighted_third, Fraction(1, 2), HasWeightOperatorError),
+            (third, Fraction(1, 2), OrderTooHighError),
+            (DensityOperator(1, {(1, ()): a}), 1, HasWeightOperatorError),
+            (DensityOperator(1, {(0, (1, 1)): a}), 0, ExceptionalWeightError)):
+        with pytest.raises(error):
+            schwarzian_data(delta, base)
