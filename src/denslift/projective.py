@@ -299,14 +299,20 @@ def _schwarzian(op: DensityOperator, l0: Scalar, d) -> DiffPolynomial:
     return theta - 2 * d_gamma + Fraction(2, 3) * d(d(a))
 
 
-def schwarzian_data(delta: DensityOperator, l0) -> DiffPolynomial:
-    """theta - 2 gamma_x + (2/3) a_xx of a second-order operator on the line."""
+def _require_line_second_order(delta: DensityOperator, l0) -> Scalar:
+    """On the line, weight-free, of order at most 2, at a base weight other
+    than 0, 1/2 and 1, checked in that order; returns l0 as a Scalar."""
     if delta.dim != 1:
         raise DimensionNotOneError("the Schwarzian lives on the line")
     _require_order(delta, 2)
     l0 = Scalar.of(l0)
     _require_generic(l0)
-    return _schwarzian(delta, l0, lambda f: f.derive(1))
+    return l0
+
+
+def schwarzian_data(delta: DensityOperator, l0) -> DiffPolynomial:
+    """theta - 2 gamma_x + (2/3) a_xx of a second-order operator on the line."""
+    return _schwarzian(delta, _require_line_second_order(delta, l0), lambda f: f.derive(1))
 
 
 @dataclass(frozen=True)
@@ -396,7 +402,7 @@ def transformed_schwarzian_data(delta: DensityOperator, l0,
     All derivatives that enter the geometric data go through the image
     coordinate (w d/dx); coefficients stay written in source jets.
     """
-    l0 = Scalar.of(l0)
+    l0 = _require_line_second_order(delta, l0)
     return _schwarzian(coordinate_change_1d(delta, phi).restrict(l0), l0, phi.d_y)
 
 
@@ -414,10 +420,7 @@ def schwarzian_cocycle_check(delta: DensityOperator, l0, phi: DiffeoJet1D) -> bo
     coefficient; the 2/3 matches the invariant's own normalization (the a_xx
     coefficient), and the anomaly vanishes exactly on Moebius jets.
     """
-    l0 = Scalar.of(l0)
-    if delta.dim != 1:
-        raise DimensionNotOneError("the cocycle check lives on the line")
-    source = schwarzian_data(delta, l0)
+    source = schwarzian_data(delta, l0)   # checks the input for both charts
     a = delta.coefficient(0, (1, 1))
     s_t = transformed_schwarzian_data(delta, l0, phi)
     lhs = phi.reduce_poly(s_t)

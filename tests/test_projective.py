@@ -502,6 +502,7 @@ def test_transformed_schwarzian_at_identity_and_scaling_is_the_source_one():
 
 
 def test_schwarzian_checks_dimension_then_weight_then_order_then_base_weight():
+    # both charts check their input alike: no term is dropped silently
     weighted_third = DensityOperator(1, {(1, ()): a, (0, (1, 1, 1)): b})
     third = DensityOperator(1, {(0, (1, 1, 1)): b})
     for delta, base, error in (
@@ -512,3 +513,5 @@ def test_schwarzian_checks_dimension_then_weight_then_order_then_base_weight():
             (DensityOperator(1, {(0, (1, 1)): a}), 0, ExceptionalWeightError)):
         with pytest.raises(error):
             schwarzian_data(delta, base)
+        with pytest.raises(error):
+            transformed_schwarzian_data(delta, base, DiffeoJet1D.identity())
