@@ -441,6 +441,9 @@ def _vol_params(cfg: SessionConfig, delta: DensityOperator) -> VolLiftParams:
     for name in cfg.params:
         m = re.match(r"^[cd](\d+)$", name)
         if m:
+            # c<k> and d<k> raise the family's degree in L to k: bound k before int()
+            if len(m.group(1)) > MAX_DIGITS or int(m.group(1)) > MAX_TERM_ORDER:
+                raise FlagError(f"--params c<k> and d<k> take k up to {MAX_TERM_ORDER}")
             n = max(n, int(m.group(1)))
     b = cfg.params.get("b", Scalar.of(0))
     c = [cfg.params.get(f"c{k}", Scalar.of(0)) for k in range(1, n + 1)]

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
     ExceptionalWeightError,
@@ -24,7 +24,9 @@ from .errors import (
 )
 from .jets import DiffPolynomial, REGISTRY
 from .operators import (
+    Density,
     DensityOperator,
+    Tensor,
     coefficient_tensors,
     lie_operator,
     tensor_divergence,
@@ -87,23 +89,21 @@ class VolLiftParams:
                              tuple(Scalar.of(x) for x in d))
 
 
-@dataclass(frozen=True)
-class GeometricData:
-    """Classifying data (S^{ij}, gamma^i, theta, F) of a second-order pencil."""
+class GeometricData(NamedTuple):
+    """Classifying data (S^{ij}, gamma^i, theta) of the self-adjoint pencil
+    S D D + (div S) D + (2L - 1) gamma D + L div gamma + L(L - 1) theta."""
 
     dim: int
-    S: Dict[Tuple[int, int], DiffPolynomial]   # symmetric: nonzero components, sorted keys
+    S: Tensor   # symmetric: nonzero components, sorted keys
     gamma: Tuple[DiffPolynomial, ...]
     theta: DiffPolynomial
-    F: DiffPolynomial
-
-    def s_component(self, i: int, j: int) -> DiffPolynomial:
-        return self.S.get((min(i, j), max(i, j)), DiffPolynomial.zero())
 
 
-def _require_not_half(l0: Scalar):
-    if l0 == HALF:
-        raise ExceptionalWeightError("exceptional weight 1/2")
+def _reject_weights(l0: Scalar, *weights: Scalar):
+    """Reject the base weights at which a construction's denominators vanish."""
+    for bad in weights:
+        if l0 == bad:
+            raise ExceptionalWeightError(f"exceptional weight {bad}")
 
 
 def _require_order(delta: DensityOperator, n: int):
@@ -113,10 +113,13 @@ def _require_order(delta: DensityOperator, n: int):
         raise OrderTooHighError(f"operator must have order at most {n}")
 
 
-def _require_generic(l0: Scalar):
-    for bad, label in ((ZERO, "0"), (HALF, "1/2"), (ONE, "1")):
-        if l0 == bad:
-            raise ExceptionalWeightError(f"exceptional weight {label}")
+def _require_second_order(delta: DensityOperator, l0) -> Scalar:
+    """Weight-free, of order at most 2, at a base weight other than 0, 1/2
+    and 1, checked in that order; returns l0 as a Scalar."""
+    _require_order(delta, 2)
+    l0 = Scalar.of(l0)
+    _reject_weights(l0, ZERO, HALF, ONE)
+    return l0
 
 
 def covariant_partials(dim: int, l0: Scalar, rho: VolumeForm,
@@ -176,7 +179,7 @@ def vol_lift(delta: DensityOperator, l0, rho: VolumeForm,
 def distinguished_coefficients(dim: int, l0: Scalar, n: int) -> Tuple[DensityOperator, ...]:
     """Family polynomials of the member with b = -1/(2 l0 - 1):
     A = (L + l0 - 1)/(2 l0 - 1) and B = +/-(l0 - L)/(2 l0 - 1)."""
-    _require_not_half(l0)
+    _reject_weights(l0, HALF)
     return family_polynomials(dim, l0, n, -ONE / (2 * l0 - 1))
 
 
@@ -184,7 +187,7 @@ def distinguished_lift(delta: DensityOperator, l0, rho: VolumeForm) -> DensityOp
     """The unique (anti-)self-adjoint point of the regular lifting line."""
     delta.require_weight_free()
     l0 = Scalar.of(l0)
-    _require_not_half(l0)
+    _reject_weights(l0, HALF)
     if delta.is_zero():
         return delta
     polys = distinguished_coefficients(delta.dim, l0, delta.total_order())
@@ -236,25 +239,27 @@ def decompose_first_order(delta: DensityOperator, l0
     return comps, remainder
 
 
-def extract_geometric_data(delta: DensityOperator, l0) -> GeometricData:
-    """Invert the second-order self-adjoint pencil conditions at weight l0."""
-    _require_order(delta, 2)
-    l0 = Scalar.of(l0)
-    _require_generic(l0)
-    dim = delta.dim
+def _tensor_and_connection(delta: DensityOperator,
+                           l0: Scalar) -> Tuple[Tensor, Tuple[DiffPolynomial, ...]]:
+    """S and gamma = (T - div S)/(2 l0 - 1) of S^{ij} D_i D_j + T^i D_i + R."""
     S = coefficient_tensors(delta).get(2, {})
     div_s = tensor_divergence(S)
-    den = 2 * l0 - 1
-    zero = DiffPolynomial.zero()
-    gamma = [(delta.coefficient(0, (i,)) - div_s.get((i,), zero)) * (ONE / den)
-             for i in range(1, dim + 1)]
+    zero, scale = DiffPolynomial.zero(), ONE / (2 * l0 - 1)
+    return S, tuple((delta.coefficient(0, (i,)) - div_s.get((i,), zero)) * scale
+                    for i in range(1, delta.dim + 1))
+
+
+def extract_geometric_data(delta: DensityOperator, l0) -> GeometricData:
+    """Invert the second-order self-adjoint pencil conditions at weight l0."""
+    l0 = _require_second_order(delta, l0)
+    S, gamma = _tensor_and_connection(delta, l0)
     R = delta.coefficient(0, ())
     theta = (R - vector_divergence(gamma) * l0) * (ONE / (l0 * (l0 - 1)))
-    return GeometricData(dim, S, tuple(gamma), theta, zero)
+    return GeometricData(delta.dim, S, gamma, theta)
 
 
 def assemble_self_adjoint_second_order(data: GeometricData) -> DensityOperator:
-    """S D D + (div S) D + (2L - 1) gamma D + L div gamma + L(L-1) theta + F."""
+    """S D D + (div S) D + (2L - 1) gamma D + L div gamma + L(L-1) theta."""
     dim = data.dim
     div_s = tensor_divergence(data.S)
     zero = DiffPolynomial.zero()
@@ -264,7 +269,6 @@ def assemble_self_adjoint_second_order(data: GeometricData) -> DensityOperator:
         terms[(1, (i,))] = 2 * g
     terms[(1, ())] = vector_divergence(data.gamma) - data.theta
     terms[(2, ())] = data.theta
-    terms[(0, ())] = data.F
     return tensor_operator(data.S, dim) + DensityOperator(dim, terms)
 
 
@@ -276,16 +280,13 @@ def second_order_canonical_lift(delta: DensityOperator, l0) -> DensityOperator:
 def cocycle_rho(delta: DensityOperator, l0, rho: VolumeForm) -> DiffPolynomial:
     """theta - 2 gamma^i Gamma_i + S^{ij} Gamma_i Gamma_j for the volume's Gamma."""
     data = extract_geometric_data(delta, l0)
+    Gamma = [rho.gamma(i) for i in range(1, data.dim + 1)]
     out = data.theta
-    for i in range(1, delta.dim + 1):
-        gi = rho.gamma(i)
-        if gi.is_zero():
-            continue
-        out = out - 2 * data.gamma[i - 1] * gi
-        for j in range(1, delta.dim + 1):
-            gj = rho.gamma(j)
-            if not gj.is_zero():
-                out = out + data.s_component(i, j) * gi * gj
+    for g, G in zip(data.gamma, Gamma):
+        out = out - 2 * g * G
+    # S is keyed by sorted pairs: an off-diagonal component stands for two
+    for (i, j), s in data.S.items():
+        out = out + (1 if i == j else 2) * s * Gamma[i - 1] * Gamma[j - 1]
     return out
 
 
@@ -321,7 +322,7 @@ def selfadjoint_family(delta0: DensityOperator, l0, rho: VolumeForm,
     """
     delta0.require_weight_free()
     l0 = Scalar.of(l0)
-    _require_not_half(l0)
+    _reject_weights(l0, HALF)
     n = 0 if delta0.is_zero() else delta0.total_order()   # zero has no free data
     dim = delta0.dim
     sign = Fraction((-1) ** n)
@@ -347,23 +348,20 @@ def selfadjoint_family(delta0: DensityOperator, l0, rho: VolumeForm,
 
 
 def limit_lift(delta: DensityOperator, rho: VolumeForm) -> DensityOperator:
-    """Weight-0 limit of the canonical construction on normalized operators."""
+    """Weight-0 limit of the canonical construction on normalized operators.
+
+    Here gamma = div S - T and theta_rho = div gamma + delta(log rho): for
+    normalized delta, -div(S Gamma) + gamma . Gamma with Gamma = -d log rho
+    is S^{ij} (log rho)_{,ij} + T^i (log rho)_{,i}, which is delta(log rho).
+    """
     _require_order(delta, 2)
     if not delta.app1().is_zero():
         raise NotNormalizedError("operator must annihilate the constant function")
-    dim = delta.dim
-    S = coefficient_tensors(delta).get(2, {})
-    div_s = tensor_divergence(S)
-    zero = DiffPolynomial.zero()
-    gamma = [div_s.get((i,), zero) - delta.coefficient(0, (i,)) for i in range(1, dim + 1)]
-
-    # theta_rho = div gamma - div Gamma^ + gamma . Gamma with Gamma^i = S^{ij} Gamma_j
-    upper = [sum((S.get((min(i, j), max(i, j)), zero) * rho.gamma(j)
-                  for j in range(1, dim + 1)), zero) for i in range(1, dim + 1)]
-    theta = vector_divergence(gamma) - vector_divergence(upper)
-    for i, g in enumerate(gamma, start=1):
-        theta = theta + g * rho.gamma(i)
-    return assemble_self_adjoint_second_order(GeometricData(dim, S, tuple(gamma), theta, zero))
+    S, gamma = _tensor_and_connection(delta, ZERO)
+    theta = vector_divergence(gamma)
+    if not rho.is_coordinate:
+        theta = theta + delta.apply(Density(DiffPolynomial.jet(rho.ell), ZERO)).coeff
+    return assemble_self_adjoint_second_order(GeometricData(delta.dim, S, gamma, theta))
 
 
 def is_regular_pair(lifted: DensityOperator, n: int) -> bool:

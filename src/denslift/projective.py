@@ -18,7 +18,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import BadPolynomialError, DimensionNotOneError
 from .jets import DiffPolynomial, JetSymbol, REGISTRY
-from .lifting import _require_generic, _require_not_half, _require_order, even_t_family
+from .lifting import _reject_weights, _require_second_order, even_t_family
 from .operators import DensityOperator, coefficient_tensors, multinomial, tensor_divergence
 from .scalars import HALF, ONE, ZERO, Scalar, collect, render_sum
 
@@ -271,7 +271,7 @@ def proj_sa_polynomials(n: int, l0, even_coeffs: Mapping[int, Sequence] = (),
     (n^2 - p(n))/4.  Each P_k is returned as its coefficient list in L.
     """
     l0 = Scalar.of(l0)
-    _require_not_half(l0)
+    _reject_weights(l0, HALF)
     even_coeffs = dict(even_coeffs or {})
     odd_coeffs = dict(odd_coeffs or {})
     odd_factor = DensityOperator.lam_poly(1, [ZERO, ONE / (l0 - HALF)], HALF)
@@ -304,10 +304,7 @@ def _require_line_second_order(delta: DensityOperator, l0) -> Scalar:
     than 0, 1/2 and 1, checked in that order; returns l0 as a Scalar."""
     if delta.dim != 1:
         raise DimensionNotOneError("the Schwarzian lives on the line")
-    _require_order(delta, 2)
-    l0 = Scalar.of(l0)
-    _require_generic(l0)
-    return l0
+    return _require_second_order(delta, l0)
 
 
 def schwarzian_data(delta: DensityOperator, l0) -> DiffPolynomial:

@@ -187,6 +187,20 @@ def test_cli_bad_flag_values_exit_2_with_one_line(capsys):
         assert captured.err.startswith("flag error: ") and captured.err.count("\n") == 1
 
 
+def test_vol_lift_parameter_index_is_bounded(capsys):
+    # each index up to the largest c<k> or d<k> adds a family parameter
+    for name in ("c" + "9" * 5000, f"c{MAX_TERM_ORDER + 1}", f"d{MAX_TERM_ORDER + 1}"):
+        start = time.perf_counter()
+        assert main(["--params", f"{name}=1", "lift", "vol", "A D1 + B"]) == 2
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err == f"flag error: --params c<k> and d<k> take k up to {MAX_TERM_ORDER}\n"
+    assert main(["--params", f"c{MAX_TERM_ORDER}=1", "lift", "vol", "A D1 + B"]) == 0
+    # c_24 (L - l0)^24 P(1) leads with B L^24
+    assert capsys.readouterr().out.startswith("B" + "*L" * MAX_TERM_ORDER + " - ")
+
+
 def test_parenthesis_nesting_is_bounded(capsys):
     c = cfg()
     nested = "(" * MAX_NESTING + "a D1" + ")" * MAX_NESTING

@@ -291,6 +291,23 @@ def test_extract_geometric_data_exceptional_weights():
             extract_geometric_data(delta, bad)
 
 
+def test_exceptional_weight_messages():
+    # the golden CLI corpus reaches only some of these guards
+    from denslift.projective import DiffeoJet1D, proj_sa_polynomials, transformed_schwarzian_data
+
+    generic = ((0, "0"), (Fraction(1, 2), "1/2"), (1, "1"))
+    calls = [(lambda w: extract_geometric_data(generic_second_order(2), w), generic),
+             (lambda w: transformed_schwarzian_data(generic_second_order(1), w,
+                                                    DiffeoJet1D.generic()), generic),
+             (lambda w: selfadjoint_family(generic_second_order(1), w, GEN), generic[1:2]),
+             (lambda w: proj_sa_polynomials(2, w), generic[1:2])]
+    for call, weights in calls:
+        for w, label in weights:
+            with pytest.raises(ExceptionalWeightError) as exc:
+                call(w)
+            assert str(exc.value) == f"exceptional weight {label}"
+
+
 def test_second_order_canonical_lift_constant_laplacian():
     delta = DensityOperator(1, {(0, (1, 1)): DiffPolynomial.const(1)})
     assert second_order_canonical_lift(delta, l0) == delta
@@ -457,6 +474,31 @@ def test_limit_lift_generic_volume_self_adjoint():
     got = limit_lift(delta, GEN)
     assert got.adjoint() == got
     assert got.restrict(0) == delta
+
+
+def test_limit_lift_theta_in_generic_volume():
+    # theta_rho = div gamma - div Gamma^ + gamma . Gamma with gamma = div S - T,
+    # Gamma_i = -ell_,i and Gamma^i = S^{ij} Gamma_j, written with plain jets
+    def total(polys):
+        return sum(polys, DiffPolynomial.zero())
+
+    for dim in (1, 2, 3):
+        axes = range(1, dim + 1)
+        S = {(i, j): DiffPolynomial.jet("S", (min(i, j), max(i, j))) for i in axes for j in axes}
+        T = {i: DiffPolynomial.jet("T", (i,)) for i in axes}
+        Gamma = {i: -DiffPolynomial.jet("ell", (), (i,)) for i in axes}
+        gamma = {i: total(S[i, j].derive(j) for j in axes) - T[i] for i in axes}
+        upper = {i: total(S[i, j] * Gamma[j] for j in axes) for i in axes}
+        div_gamma = total(gamma[i].derive(i) for i in axes)
+        theta = (div_gamma - total(upper[i].derive(i) for i in axes)
+                 + total(gamma[i] * Gamma[i] for i in axes))
+        # S^{ij} D_i D_j + T^i D_i: the constructor adds the (i, j) and (j, i) keys
+        delta = DensityOperator(dim, {**{(0, (i, j)): S[i, j] for i in axes for j in axes},
+                                      **{(0, (i,)): T[i] for i in axes}})
+        terms = {(1, (i,)): 2 * gamma[i] for i in axes}
+        terms[(1, ())] = div_gamma - theta
+        terms[(2, ())] = theta
+        assert limit_lift(delta, GEN) == delta + DensityOperator(dim, terms), dim
 
 
 def test_limit_lift_requires_normalization():
