@@ -41,6 +41,14 @@ def random_operator(rng: random.Random, dim: int, max_total: int = 3,
             return op
 
 
+def weight_free_of_order(rng: random.Random, dim: int, n: int) -> DensityOperator:
+    """A random weight-free operator of order exactly n."""
+    while True:
+        op = random_operator(rng, dim, max_total=n).restrict(0)
+        if not op.is_zero() and op.total_order() == n:
+            return op
+
+
 def random_field(rng: random.Random, dim: int):
     return [random_poly(rng, dim, max_factors=1, max_terms=2) for _ in range(dim)]
 

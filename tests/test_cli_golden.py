@@ -96,6 +96,8 @@ def _matrix():
             yield generic + ["taylor", "L a + D1 D1"]
             yield generic + ["lift", "canonical", SECOND[dim]]
             yield generic + ["lift", "distinguished", "a D1 D1 + b"]
+            for json_flag in ([], ["--json"]):
+                yield generic + json_flag + ["lift", "distinguished", THIRD[dim]]
     yield ["--lambda0", "1/3", "lift", "proj", THIRD[1]]
     yield ["--dim", "2", "--lambda0", "2", "lift", "proj", THIRD[2]]
 

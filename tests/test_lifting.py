@@ -16,9 +16,11 @@ from denslift.jets import DiffPolynomial
 from denslift.lifting import (
     VolLiftParams,
     VolumeForm,
+    apply_family,
     canonical_lift,
     cocycle_rho,
     decompose_first_order,
+    distinguished_coefficients,
     distinguished_lift,
     extract_geometric_data,
     first_order_lift,
@@ -33,13 +35,14 @@ from denslift.lifting import (
     vol_lift,
 )
 from denslift.operators import DensityOperator, generic_second_order, lie_operator
-from denslift.scalars import Scalar
+from denslift.scalars import HALF, Scalar
 
-from helpers import random_operator
+from helpers import random_operator, weight_free_of_order
 
 l0 = Scalar.param("l0")
 COORD = VolumeForm.coordinate()
 GEN = VolumeForm.generic()
+WEIGHTS = [l0, Scalar.of(2), Scalar.of(Fraction(-3, 7)), Scalar.of(0), Scalar.of(1)]
 
 
 def D(dim, axis):
@@ -405,14 +408,42 @@ def test_taylor_round_trip():
         assert taylor_expand(DensityOperator.zero(2), l0, rho) == [DensityOperator.zero(2)]
 
 
-def test_selfadjoint_family_reduces_to_distinguished():
-    rng = random.Random(37)
-    for order in (2, 3):
-        delta = random_operator(rng, 2, max_total=order).restrict(0)
-        if delta.is_zero():
-            continue
-        fam = selfadjoint_family(delta, l0, GEN, [])
-        assert fam == distinguished_lift(delta, l0, GEN)
+def test_distinguished_lift_is_the_distinguished_family_member():
+    # reference: A(L) P + B(L) P* with b = -1/(2 l0 - 1), P the canonical lift
+    rng = random.Random(61)
+    for dim in (1, 2, 3):
+        ops = [DensityOperator.zero(dim)] + [random_operator(rng, dim, max_total=3).restrict(0)
+                                             for _ in range(2)]
+        for delta in ops:
+            for rho in (COORD, GEN):
+                for w in WEIGHTS:
+                    got = distinguished_lift(delta, w, rho)
+                    if delta.is_zero():
+                        assert got == delta
+                        continue
+                    polys = distinguished_coefficients(dim, w, delta.total_order())
+                    assert got == apply_family(polys, canonical_lift(delta, w, rho)), (delta, w)
+
+
+def test_selfadjoint_family_closed_form():
+    # the distinguished map applied to P plus t^(2k-2) (t^2 - t(l0)^2) times the
+    # lifted k-th even datum, t = L - 1/2: each added pencil vanishes at l0
+    rng = random.Random(67)
+    for n in (2, 3, 4, 5):
+        for dim in (1, 2, 3) if n < 4 else (1, 2):
+            delta = weight_free_of_order(rng, dim, n)
+            evens = [weight_free_of_order(rng, dim, n - 2 * k) for k in range(1, n // 2 + 1)]
+            for rho in (COORD, GEN):
+                for w in (l0, Scalar.of(Fraction(-3, 7))):
+                    polys = distinguished_coefficients(dim, w, n)
+                    lifted = canonical_lift(delta, w, rho)
+                    assert selfadjoint_family(delta, w, rho, []) == apply_family(polys, lifted)
+                    for k, even in enumerate(evens, start=1):
+                        vanishing = DensityOperator.lam_poly(
+                            dim, [0] * (2 * k - 2) + [-(w - HALF) ** 2, 0, 1], HALF)
+                        lifted = lifted + vanishing @ canonical_lift(even, HALF, rho)
+                    got = selfadjoint_family(delta, w, rho, evens)
+                    assert got == apply_family(polys, lifted), (n, dim, rho, w)
 
 
 def test_selfadjoint_family_second_order_with_function():

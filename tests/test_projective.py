@@ -34,7 +34,7 @@ from denslift.projective import (
 )
 from denslift.scalars import Scalar
 
-from helpers import generic_third_order, random_operator
+from helpers import generic_third_order, random_operator, weight_free_of_order
 
 l0 = Scalar.param("l0")
 lam = Scalar.param("lam")
@@ -241,6 +241,21 @@ def test_proj_decompose_line_example():
     assert parts[2] == DensityOperator.function(1, d2)
     total = parts[0] + parts[1] + parts[2]
     assert total == delta
+
+
+def test_proj_decompose_parts_have_homogeneous_symbols():
+    # the parts are the quantized degree pieces of the full symbol: they sum
+    # to delta and part i has a full symbol homogeneous of degree n - i
+    rng = random.Random(71)
+    for dim in (1, 2, 3):
+        for n in (0, 1, 2, 3):
+            delta = weight_free_of_order(rng, dim, n)
+            for w in (l0, Scalar.of(Fraction(1, 3))):
+                parts = proj_decompose(delta, w)
+                assert len(parts) == n + 1
+                assert sum(parts, DensityOperator.zero(dim)) == delta
+                for i, part in enumerate(parts):
+                    assert all(len(beta) == n - i for beta in full_symbol(part, w).terms)
 
 
 def test_proj_regular_lift_trivial_polys():
