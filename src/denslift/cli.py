@@ -441,6 +441,9 @@ def _vol_params(cfg: SessionConfig, delta: DensityOperator) -> VolLiftParams:
     for name in cfg.params:
         m = re.match(r"^[cd](\d+)$", name)
         if m:
+            # the value is read back under c<int(k)>, so k is written canonically
+            if m.group(1).startswith("0"):
+                raise FlagError("--params c<k> and d<k> take k from 1, with no leading zero")
             # c<k> and d<k> raise the family's degree in L to k: bound k before int()
             if len(m.group(1)) > MAX_DIGITS or int(m.group(1)) > MAX_TERM_ORDER:
                 raise FlagError(f"--params c<k> and d<k> take k up to {MAX_TERM_ORDER}")

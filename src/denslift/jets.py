@@ -165,13 +165,6 @@ class DiffPolynomial:
             return Scalar.of(0)
         return self.terms[()]
 
-    def symbols(self):
-        out = set()
-        for m in self.terms:
-            for s, _ in m:
-                out.add(s)
-        return out
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other) -> "DiffPolynomial":

@@ -184,14 +184,9 @@ def distinguished_coefficients(dim: int, l0: Scalar, n: int) -> Tuple[DensityOpe
 
 
 def distinguished_lift(delta: DensityOperator, l0, rho: VolumeForm) -> DensityOperator:
-    """The unique (anti-)self-adjoint point of the regular lifting line."""
-    delta.require_weight_free()
-    l0 = Scalar.of(l0)
-    _reject_weights(l0, HALF)
-    if delta.is_zero():
-        return delta
-    polys = distinguished_coefficients(delta.dim, l0, delta.total_order())
-    return apply_family(polys, canonical_lift(delta, l0, rho))
+    """The unique (anti-)self-adjoint point of the regular lifting line: the
+    member of the self-adjoint family with no free data."""
+    return selfadjoint_family(delta, l0, rho)
 
 
 def even_t_family(dim: int, l0: Scalar, coeffs: Sequence) -> DensityOperator:
@@ -317,8 +312,13 @@ def selfadjoint_family(delta0: DensityOperator, l0, rho: VolumeForm,
                        evens: Sequence[DensityOperator] = ()) -> DensityOperator:
     """All liftings of delta0 with adjoint = (-1)^n times themselves.
 
-    Free data are the even Taylor coefficients around weight 1/2; the odd ones
-    are forced.  With no even data this reduces to the distinguished lift.
+    Free data are the even Taylor coefficients E_k around weight 1/2; the odd
+    ones are forced.  In closed form, with P = canonical_lift(delta0) and
+    t = L - 1/2, the member is the distinguished map A(L) P + B(L) P* of
+    distinguished_coefficients applied to
+    P + sum_k t^(2k-2) (t^2 - t(l0)^2) canonical_lift(E_k, 1/2),
+    each added pencil even in t and zero at l0.  With no even data it is the
+    distinguished lift.
     """
     delta0.require_weight_free()
     l0 = Scalar.of(l0)

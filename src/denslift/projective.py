@@ -216,24 +216,17 @@ def proj_lift(delta: DensityOperator, l0) -> DensityOperator:
 
 
 def proj_decompose(delta: DensityOperator, l0) -> List[DensityOperator]:
-    """Split into parts whose pencils each keep a fixed symbol."""
+    """Split into parts whose pencils each keep a fixed symbol: part i
+    quantizes the homogeneous piece of degree n - i of the full symbol at l0,
+    n the order of delta."""
     l0 = Scalar.of(l0)
     delta.require_weight_free()
     if delta.is_zero():
         return [delta]
-    n = delta.x_order()
-    parts = []
-    remaining = delta
-    for i in range(n + 1):
-        if remaining.is_zero() or remaining.x_order() < n - i:
-            parts.append(DensityOperator.zero(delta.dim))
-            continue
-        piece = quantize(principal_symbol(remaining), l0)
-        parts.append(piece)
-        remaining = remaining - piece
-    if not remaining.is_zero():
-        raise AssertionError("decomposition did not terminate")
-    return parts
+    sym = full_symbol(delta, l0)
+    return [quantize(SymbolPoly(delta.dim, {beta: c for beta, c in sym.terms.items()
+                                            if len(beta) == degree}), l0)
+            for degree in range(delta.x_order(), -1, -1)]
 
 
 def proj_regular_lift(delta: DensityOperator, l0,

@@ -201,6 +201,17 @@ def test_vol_lift_parameter_index_is_bounded(capsys):
     assert capsys.readouterr().out.startswith("B" + "*L" * MAX_TERM_ORDER + " - ")
 
 
+def test_vol_lift_parameter_index_is_written_canonically(capsys):
+    # c01 was counted toward the family size but read back as c1, so dropped
+    for name in ("c01", "d0", "c007"):
+        assert main(["--params", f"{name}=1", "lift", "vol", "A D1 + B"]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err == "flag error: --params c<k> and d<k> take k from 1, with no leading zero\n"
+    assert main(["--params", "c1=1", "lift", "vol", "A D1 + B"]) == 0
+    assert capsys.readouterr().out == "B*L + A*D1 + ((1 - l0)*B)\n"
+
+
 def test_parenthesis_nesting_is_bounded(capsys):
     c = cfg()
     nested = "(" * MAX_NESTING + "a D1" + ")" * MAX_NESTING
