@@ -202,7 +202,7 @@ def test_vol_lift_parameter_index_is_bounded(capsys):
 
 
 def test_vol_lift_parameter_index_is_written_canonically(capsys):
-    # c01 was counted toward the family size but read back as c1, so dropped
+    # values are looked up under c<int(k)>: any other spelling of k would be lost
     for name in ("c01", "d0", "c007"):
         assert main(["--params", f"{name}=1", "lift", "vol", "A D1 + B"]) == 2
         captured = capsys.readouterr()
