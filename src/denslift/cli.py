@@ -19,9 +19,9 @@ import json
 import random
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from .errors import DensliftError, FlagError, IndexRangeError, ParseError, SchemaError
 from .jets import DiffPolynomial
@@ -55,13 +55,15 @@ from .scalars import Scalar
 DEFAULT_PARAMS = ("l0", "lam", "mu", "k1", "k2", "k3", "kappa", "eps")
 
 
-@dataclass
-class SessionConfig:
+class SessionConfig(NamedTuple):
+    """The flags of one CLI call.  A NamedTuple: it iterates as its fields and
+    compares equal to the plain tuple of them."""
+
     dim: int = 1
-    lambda0: Scalar = field(default_factory=lambda: Scalar.param("l0"))
-    volume: VolumeForm = field(default_factory=VolumeForm.coordinate)
+    lambda0: Scalar = Scalar.param("l0")
+    volume: VolumeForm = VolumeForm.coordinate()
     json_output: bool = False
-    params: Dict[str, Scalar] = field(default_factory=dict)
+    params: Mapping[str, Scalar] = MappingProxyType({})
 
     def param_names(self):
         return set(DEFAULT_PARAMS) | set(self.params)
@@ -601,8 +603,10 @@ def _random_operator(rng, dim, max_total):
     return op if not op.is_zero() else DensityOperator.identity(dim)
 
 
-@dataclass(frozen=True)
-class _Verdict:
+class _Verdict(NamedTuple):
+    """A check suite's outcome.  A NamedTuple: it iterates as (name, ok,
+    message) and compares equal to that plain tuple."""
+
     name: str
     ok: bool
     message: str

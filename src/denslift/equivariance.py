@@ -11,8 +11,7 @@ last axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 from . import lifting, projective
 from .errors import DimensionTooSmallError
@@ -54,14 +53,15 @@ def ad_weight(components: VectorField, op: DensityOperator, l0) -> DensityOperat
     return ad_vf(components, op).restrict(l0)
 
 
-@dataclass(frozen=True)
-class LiftingHandle:
+class LiftingHandle(NamedTuple):
     """A lifting map reified so its own Lie derivative can be formed.
 
     ``lift`` computes the map; ``kind`` and ``params`` name it for code that
     models it independently (perfbench's sympy oracle).  Each closure looks
     its lifting function up on the module when called, so wrappers installed
-    on the module after the handle was built still see the call.
+    on the module after the handle was built still see the call.  A
+    NamedTuple: it iterates as (kind, l0, lift, params) and compares equal to
+    that plain tuple.
     """
 
     kind: str
@@ -164,9 +164,11 @@ def check_adX_variation_identity(delta: DensityOperator, l0, rho: VolumeForm,
     return lhs == rhs
 
 
-@dataclass(frozen=True)
-class DivFreeField:
-    """Generic vector field with the divergence constraint solved for axis dim."""
+class DivFreeField(NamedTuple):
+    """Generic vector field with the divergence constraint solved for axis dim.
+
+    A NamedTuple: it iterates as (dim, components) and compares equal to that
+    plain tuple."""
 
     dim: int
     components: Tuple[DiffPolynomial, ...]
@@ -219,9 +221,11 @@ def classify_sdiff_map(a1, a2, a3, b1, b2, c, dim: int) -> DensityOperator:
     return X.reduce(residual)
 
 
-@dataclass(frozen=True)
-class DivFreeTensor:
-    """Generic symmetric rank-k tensor S, optionally divergenceless."""
+class DivFreeTensor(NamedTuple):
+    """Generic symmetric rank-k tensor S, optionally divergenceless.
+
+    A NamedTuple: it iterates as (dim, rank, constrained) and compares equal
+    to that plain tuple."""
 
     dim: int
     rank: int

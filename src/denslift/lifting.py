@@ -11,7 +11,6 @@ connection, scale function) and the associated canonical self-adjoint pencil.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import List, NamedTuple, Optional, Sequence, Tuple
@@ -67,17 +66,20 @@ class VolumeForm:
         return "VolumeForm(coordinate)" if self.ell is None else f"VolumeForm(log={self.ell})"
 
 
-@dataclass(frozen=True)
-class VolLiftParams:
-    """Parameters (b, c_1..c_n, d_1..d_n) of the regular lifting family."""
+class VolLiftParams(NamedTuple("VolLiftParams", [("b", Scalar), ("c", Tuple[Scalar, ...]),
+                                                  ("d", Tuple[Scalar, ...])])):
+    """Parameters (b, c_1..c_n, d_1..d_n) of the regular lifting family.
 
-    b: Scalar
-    c: Tuple[Scalar, ...]
-    d: Tuple[Scalar, ...]
+    A NamedTuple: it iterates as (b, c, d) and compares equal to that plain
+    tuple.  ``_replace`` and ``_make`` skip the length check; nothing calls
+    them."""
 
-    def __post_init__(self):
-        if len(self.c) != len(self.d):
+    __slots__ = ()
+
+    def __new__(cls, b: Scalar, c: Tuple[Scalar, ...], d: Tuple[Scalar, ...]):
+        if len(c) != len(d):
             raise ValueError("c and d parameter lists must have equal length")
+        return super().__new__(cls, b, c, d)
 
     @property
     def n(self) -> int:

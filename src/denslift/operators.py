@@ -17,11 +17,10 @@ All values are immutable by convention and safe to share across threads.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import comb, factorial
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
     DimensionMismatchError,
@@ -34,9 +33,11 @@ from .scalars import Scalar, collect, mono_mul, render_sum
 TermKey = Tuple[int, Tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class Density:
-    """Coefficient function together with a (possibly formal) weight."""
+class Density(NamedTuple):
+    """Coefficient function together with a (possibly formal) weight.
+
+    A NamedTuple: it iterates as (coeff, weight) and compares equal to that
+    plain tuple."""
 
     coeff: DiffPolynomial
     weight: Scalar

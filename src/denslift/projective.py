@@ -11,10 +11,9 @@ produces the Schwarzian cocycle in one dimension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import BadPolynomialError, DimensionNotOneError
 from .jets import DiffPolynomial, JetSymbol, REGISTRY
@@ -305,13 +304,13 @@ def schwarzian_data(delta: DensityOperator, l0) -> DiffPolynomial:
     return _schwarzian(delta, _require_line_second_order(delta, l0), lambda f: f.derive(1))
 
 
-@dataclass(frozen=True)
-class DiffeoJet1D:
+class DiffeoJet1D(NamedTuple):
     """Jets of a line diffeomorphism: y1 = dy/dx and w = 1/y1.
 
     Higher jets come from differentiating y1, so the chain of derivative
     identities holds by construction.  ``pairs`` lists the monomial inverse
-    relations available for reduction.
+    relations available for reduction.  A NamedTuple: it iterates as
+    (y1, w, pairs) and compares equal to that plain tuple.
     """
 
     y1: DiffPolynomial

@@ -1,9 +1,15 @@
 """The engine's and the CLI's plain data records: construction checks,
-defaults, value equality, immutability and the ``Name(field=value, ...)`` repr."""
+defaults, value equality, immutability, the ``Name(field=value, ...)`` repr,
+and one record idiom (NamedTuple) that keeps dataclasses off the import graph."""
 
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import denslift
 
 from denslift.cli import DEFAULT_PARAMS, SessionConfig, _Verdict
 from denslift.equivariance import DivFreeTensor, LiftingHandle, generic_divfree_field
@@ -50,7 +56,7 @@ def test_equal_fields_give_equal_records(name):
     assert not first != second
 
 
-@pytest.mark.parametrize("name", sorted(set(RECORDS) - {"SessionConfig"}))
+@pytest.mark.parametrize("name", sorted(RECORDS))
 def test_records_reject_field_assignment(name):
     fields, make = RECORDS[name]
     record = make()
@@ -95,3 +101,26 @@ def test_vol_lift_rejects_a_family_shorter_than_the_order():
     with pytest.raises(OrderViolationError,
                        match="^parameter lists of length 1 cannot lift an order 2 operator$"):
         vol_lift(delta, l0, COORD, VolLiftParams.of(0, [0], [0]))
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_records_are_named_tuples_of_their_fields(name):
+    fields, make = RECORDS[name]
+    record = make()
+    assert record._fields == fields
+    assert record == tuple(getattr(record, field) for field in fields)
+
+
+def test_importing_every_module_loads_no_dataclass_machinery():
+    # a fresh interpreter without site, so only denslift's own imports count
+    package = Path(denslift.__file__).parent
+    modules = sorted(f"denslift.{f.stem}" for f in package.glob("*.py") if f.stem != "__init__")
+    code = (f"import sys; sys.path.insert(0, {str(package.parent)!r})\n"
+            f"import {', '.join(modules)}\n"
+            "print(' '.join(m for m in ('dataclasses', 'inspect', 'ast', 'dis') "
+            "if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert {"denslift.cli", "denslift.equivariance"} <= set(modules)
+    assert done.stdout.strip() == ""
