@@ -42,10 +42,6 @@ class SymbolPoly:
         summed = collect((tuple(sorted(beta)), c) for beta, c in (terms or {}).items())
         self.terms = {b: c for b, c in summed.items() if not c.is_zero()}
 
-    @staticmethod
-    def zero(dim: int) -> "SymbolPoly":
-        return SymbolPoly(dim)
-
     def is_zero(self) -> bool:
         return not self.terms
 

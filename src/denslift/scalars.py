@@ -85,8 +85,7 @@ def _lc(p, k: int) -> int:
 
 
 def _add(a, b, k: int):
-    if not k:
-        return a + b
+    """a + b, in k >= 1 variables."""
     if len(a) < len(b):
         a, b = b, a
     if k == 1:
@@ -100,11 +99,9 @@ def _add(a, b, k: int):
 
 
 def _scale(p, m: int, k: int):
-    """p times the nonzero int m."""
+    """p times the nonzero int m, in k >= 1 variables."""
     if m == 1:
         return p
-    if not k:
-        return p * m
     if k == 1:
         return tuple([x * m for x in p])
     return tuple([_scale(x, m, k - 1) for x in p])
@@ -171,9 +168,7 @@ def _mul(a, b, k: int):
 
 
 def _divexact(a, b, k: int):
-    """a / b, where b divides a."""
-    if not k:
-        return a // b
+    """a / b in k >= 1 variables, where b divides a."""
     if not a:
         return ()
     n = len(b) - 1
@@ -415,16 +410,13 @@ def _finish(names, p: int, q: int, n, d) -> "Scalar":
 
 
 def _make(names, p: int, q: int, n, d) -> "Scalar":
-    """The canonical Scalar (p/q) n/d for integer polynomials n and d != 0."""
-    if not n:
-        return ZERO
+    """The canonical Scalar (p/q) n/d for q > 0 and integer polynomials n != 0
+    and d with a positive leading coefficient."""
     k = len(names)
     n, d = _cancel(n, d, k)
     m = _icont(n, k) if _lc(n, k) > 0 else -_icont(n, k)
     e = _icont(d, k) if _lc(d, k) > 0 else -_icont(d, k)
     p, q = p * m, q * e
-    if q < 0:
-        p, q = -p, -q
     return _finish(names, p, q, _iquo(n, m, k), _iquo(d, e, k))
 
 

@@ -620,3 +620,12 @@ def test_parse_powers_zero_and_one():
     assert parse_operator("(a D1)^3", c) == parse_operator("a D1 a D1 a D1", c)
     assert parse_symbol("(a xi)^0", c) == parse_symbol("1", c)
     assert parse_symbol("(a xi)^2", c) == parse_symbol("a^2 xi^2", c)
+
+
+def test_symbol_times_a_scalar_on_the_right(capsys):
+    shown = []
+    for symbol in ("a xi^2 / 2", "1/2 a xi^2"):
+        assert main(["quantize", symbol]) == 0
+        shown.append(capsys.readouterr().out)
+    assert shown[0] == shown[1]
+    assert shown[0].startswith("1/2*a*D1*D1 + ")

@@ -29,7 +29,7 @@ from denslift.linalg import nullspace, operator_coordinates, rank
 from denslift.operators import DensityOperator, generic_second_order
 from denslift.scalars import Scalar
 
-from helpers import random_field, random_operator
+from helpers import random_field, random_operator, weight_free_of_order
 
 l0 = Scalar.param("l0")
 COORD = VolumeForm.coordinate()
@@ -306,3 +306,26 @@ def test_distinguished_variation_first_order_is_vertical():
     h = DiffPolynomial.jet("h")
     var = volume_variation("distinguished", delta, l0, GEN, h)
     assert var.is_zero() or var.is_vertical()
+
+
+def test_ad_variation_identity_distinguished():
+    # ad_X of the distinguished lift equals its volume variation at
+    # delta rho = rho div_rho X, on both volume models and at several weights.
+    # The lift's family depends on the order of its input, so the field keeps
+    # a generic jet part: ad_X then keeps the order of delta.
+    rng = random.Random(33)
+    for dim, rho, weight in itertools.product((1, 2), (COORD, GEN),
+                                              (l0, Fraction(1, 3), 2)):
+        delta = weight_free_of_order(rng, dim, rng.randint(1, 3))
+        X = [DiffPolynomial.jet("X", (i,)) + comp
+             for i, comp in enumerate(random_field(rng, dim), start=1)]
+        assert check_adX_variation_identity(delta, weight, rho, X, "distinguished")
+
+
+def test_unknown_lifting_kinds_raise():
+    delta = DensityOperator.partial(1, 1)
+    X = [DiffPolynomial.jet("X", (1,))]
+    with pytest.raises(ValueError, match="^no variation formula for lifting kind 'proj'$"):
+        volume_variation("proj", delta, l0, COORD, DiffPolynomial.jet("h"))
+    with pytest.raises(ValueError, match="^identity check undefined for kind 'proj'$"):
+        check_adX_variation_identity(delta, l0, COORD, X, "proj")

@@ -707,3 +707,12 @@ def test_every_lift_of_the_zero_operator_is_zero():
     with pytest.raises(OrderViolationError):
         selfadjoint_family(DensityOperator.zero(1), l0, GEN,
                            [DensityOperator.function(1, DiffPolynomial.jet("F"))])
+
+
+def test_taylor_assemble_needs_a_coefficient():
+    with pytest.raises(ValueError, match="^need at least one Taylor coefficient$"):
+        taylor_assemble([], l0, COORD)
+
+
+def test_a_zero_lift_is_a_strict_pair():
+    assert is_strict_pair(D(1, 1), DensityOperator.zero(1))

@@ -344,3 +344,17 @@ def test_generic_second_order_and_tensor_written_out():
     assert generic_second_order(3) == DensityOperator(3, {
         **s3, (0, (1,)): jet("T", 1), (0, (2,)): jet("T", 2), (0, (3,)): jet("T", 3),
         (0, ()): R})
+
+
+def test_constructor_and_order_guards():
+    with pytest.raises(ValueError, match="^dimension must be at least 1$"):
+        DensityOperator(0)
+    with pytest.raises(ValueError, match=r"^axis 3 outside 1\.\.2$"):
+        DensityOperator.partial(2, 3)
+    zero = DensityOperator.zero(2)
+    for order in (zero.x_order, zero.lam_degree):
+        with pytest.raises(ZeroOperatorError, match="^zero operator has no order$"):
+            order()
+    with pytest.raises(DimensionMismatchError,
+                       match="^vector field has 1 components in dimension 2$"):
+        lie_operator(2, [f])

@@ -530,3 +530,25 @@ def test_schwarzian_checks_dimension_then_weight_then_order_then_base_weight():
             schwarzian_data(delta, base)
         with pytest.raises(error):
             transformed_schwarzian_data(delta, base, DiffeoJet1D.identity())
+
+
+def test_line_only_and_range_guards():
+    with pytest.raises(DimensionNotOneError,
+                       match="^coordinate changes are implemented on the line$"):
+        coordinate_change_1d(DensityOperator.partial(2, 1), DiffeoJet1D.generic())
+    with pytest.raises(BadPolynomialError, match="^P_3 admits at most 1 free coefficients$"):
+        proj_sa_polynomials(3, l0, odd_coeffs={3: [1, 2]})
+    with pytest.raises(ValueError, match="^need 0 <= k <= n$"):
+        symbol_coeff(2, 3, l0, 1)
+
+
+def test_proj_regular_lift_pads_polynomials_and_parts():
+    delta = line_operator()   # three parts
+    base = proj_regular_lift(delta, l0, [])
+    assert base == proj_lift(delta, l0)
+    assert proj_regular_lift(delta, l0, [[1]]) == base
+    # a normalized P_3 meets a zero part
+    assert proj_regular_lift(delta, l0, [[1], [1], [1], [1 - l0, 1]]) == base
+    with pytest.raises(BadPolynomialError,
+                       match="^P_3 is not normalized to 1 at the base weight$"):
+        proj_regular_lift(delta, l0, [[1], [1], [1], [2]])
