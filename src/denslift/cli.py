@@ -56,8 +56,8 @@ DEFAULT_PARAMS = ("l0", "lam", "mu", "k1", "k2", "k3", "kappa", "eps")
 
 
 class SessionConfig(NamedTuple):
-    """The flags of one CLI call.  A NamedTuple: it iterates as its fields and
-    compares equal to the plain tuple of them."""
+    """The flags of one CLI call; a NamedTuple that iterates as, and equals,
+    the plain tuple (dim, lambda0, volume, json_output, params)."""
 
     dim: int = 1
     lambda0: Scalar = Scalar.param("l0")
@@ -604,8 +604,8 @@ def _random_operator(rng, dim, max_total):
 
 
 class _Verdict(NamedTuple):
-    """A check suite's outcome.  A NamedTuple: it iterates as (name, ok,
-    message) and compares equal to that plain tuple."""
+    """A check suite's outcome; a NamedTuple that iterates as, and equals, the
+    plain tuple (name, ok, message)."""
 
     name: str
     ok: bool

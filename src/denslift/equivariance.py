@@ -60,8 +60,8 @@ class LiftingHandle(NamedTuple):
     models it independently (perfbench's sympy oracle).  Each closure looks
     its lifting function up on the module when called, so wrappers installed
     on the module after the handle was built still see the call.  A
-    NamedTuple: it iterates as (kind, l0, lift, params) and compares equal to
-    that plain tuple.
+    NamedTuple that iterates as, and equals, the plain tuple
+    (kind, l0, lift, params).
     """
 
     kind: str
@@ -165,10 +165,8 @@ def check_adX_variation_identity(delta: DensityOperator, l0, rho: VolumeForm,
 
 
 class DivFreeField(NamedTuple):
-    """Generic vector field with the divergence constraint solved for axis dim.
-
-    A NamedTuple: it iterates as (dim, components) and compares equal to that
-    plain tuple."""
+    """Generic vector field with the divergence constraint solved for axis dim;
+    a NamedTuple that iterates as, and equals, the plain tuple (dim, components)."""
 
     dim: int
     components: Tuple[DiffPolynomial, ...]
@@ -222,10 +220,8 @@ def classify_sdiff_map(a1, a2, a3, b1, b2, c, dim: int) -> DensityOperator:
 
 
 class DivFreeTensor(NamedTuple):
-    """Generic symmetric rank-k tensor S, optionally divergenceless.
-
-    A NamedTuple: it iterates as (dim, rank, constrained) and compares equal
-    to that plain tuple."""
+    """Generic symmetric rank-k tensor S, optionally divergenceless; a
+    NamedTuple that iterates as, and equals, the plain tuple (dim, rank, constrained)."""
 
     dim: int
     rank: int

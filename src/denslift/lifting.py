@@ -68,11 +68,9 @@ class VolumeForm:
 
 class VolLiftParams(NamedTuple("VolLiftParams", [("b", Scalar), ("c", Tuple[Scalar, ...]),
                                                   ("d", Tuple[Scalar, ...])])):
-    """Parameters (b, c_1..c_n, d_1..d_n) of the regular lifting family.
-
-    A NamedTuple: it iterates as (b, c, d) and compares equal to that plain
-    tuple.  ``_replace`` and ``_make`` skip the length check; nothing calls
-    them."""
+    """Parameters (b, c_1..c_n, d_1..d_n) of the regular lifting family; a
+    NamedTuple that iterates as, and equals, the plain tuple (b, c, d).
+    ``_replace`` and ``_make`` skip the length check; nothing calls them."""
 
     __slots__ = ()
 

@@ -34,10 +34,8 @@ TermKey = Tuple[int, Tuple[int, ...]]
 
 
 class Density(NamedTuple):
-    """Coefficient function together with a (possibly formal) weight.
-
-    A NamedTuple: it iterates as (coeff, weight) and compares equal to that
-    plain tuple."""
+    """Coefficient function together with a (possibly formal) weight; a
+    NamedTuple that iterates as, and equals, the plain tuple (coeff, weight)."""
 
     coeff: DiffPolynomial
     weight: Scalar

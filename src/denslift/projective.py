@@ -305,8 +305,8 @@ class DiffeoJet1D(NamedTuple):
 
     Higher jets come from differentiating y1, so the chain of derivative
     identities holds by construction.  ``pairs`` lists the monomial inverse
-    relations available for reduction.  A NamedTuple: it iterates as
-    (y1, w, pairs) and compares equal to that plain tuple.
+    relations available for reduction.  A NamedTuple that iterates as, and
+    equals, the plain tuple (y1, w, pairs).
     """
 
     y1: DiffPolynomial
