@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 import denslift
-
 from denslift.cli import DEFAULT_PARAMS, SessionConfig, _Verdict
 from denslift.equivariance import DivFreeTensor, LiftingHandle, generic_divfree_field
 from denslift.errors import OrderViolationError
@@ -75,7 +74,6 @@ def test_record_repr_names_every_field_in_order(name):
 
 
 def test_record_defaults():
-    assert DiffeoJet1D.identity().pairs == ()
     assert DiffeoJet1D(DiffPolynomial.const(2), DiffPolynomial.const(Fraction(1, 2))).pairs == ()
     assert DivFreeTensor(2, 3).constrained is True
     assert LiftingHandle("canonical", l0, _lift).params is None
