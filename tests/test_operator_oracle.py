@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from denslift.jets import DiffPolynomial
-from denslift.operators import Density, DensityOperator
+from denslift.operators import Density, DensityOperator, ad_vf
 from denslift.scalars import Scalar
 
 sympy = pytest.importorskip("sympy")
@@ -221,3 +221,82 @@ def test_compose_with_l0_coefficients_matches_sympy():
         b_sym = {key: sympy_l0_poly(p) for key, p in b_data.items()}
         expected = act(a_sym, act(b_sym, sympy_poly(f_data), W), W)
         assert sympy.expand(sympy_jet_poly(out.coeff) - expected) == 0
+
+
+# -- commutators and the Lie action ---------------------------------------------
+# [A, B] acts as A(B f) - B(A f).  Each pair of operators is drawn so that one
+# shape is certain: both carry L powers, they share multi-indices, the
+# multi-indices mix axes, or one side is a pure function.
+
+def commutator_pair_data(rng, dim, shape):
+    """Two operators' data of the given shape, over x-polynomials."""
+    a_data = random_operator_data(rng, dim)
+    if shape == "function":
+        return {(0, ()): random_poly_data(rng, dim, 2)}, a_data
+    b_data = random_operator_data(rng, dim)
+    if shape == "weights":
+        for data in (a_data, b_data):
+            alpha = tuple(rng.randint(1, dim) for _ in range(rng.randint(0, 2)))
+            data[(rng.randint(1, 2), alpha)] = random_poly_data(rng, dim, 2)
+    elif shape == "shared":
+        for key in list(a_data)[:2]:
+            b_data[(rng.randint(0, 2), key[1])] = random_poly_data(rng, dim, 2)
+    elif shape == "mixed":
+        mixed = (1, 2, 2) if dim == 2 else (1, 1)
+        a_data[(rng.randint(0, 1), mixed)] = random_poly_data(rng, dim, 2)
+        b_data[(rng.randint(0, 1), mixed[:2])] = random_poly_data(rng, dim, 2)
+    return a_data, b_data
+
+
+def test_commutator_matches_sympy():
+    rng = random.Random("commutator")
+    for shape in ("weights", "shared", "mixed", "function") * 3:
+        dim = 2 if shape == "mixed" else rng.randint(1, 2)
+        a_data, b_data = commutator_pair_data(rng, dim, shape)
+        if rng.random() < 0.5:
+            a_data, b_data = b_data, a_data
+        A, B = engine_operator(dim, a_data), engine_operator(dim, b_data)
+        f_data, w = random_poly_data(rng, dim, 4), rational(random_rational(rng))
+        a_sym = {key: sympy_poly(p) for key, p in a_data.items()}
+        b_sym = {key: sympy_poly(p) for key, p in b_data.items()}
+        f = sympy_poly(f_data)
+        expected = sympy.expand(act(a_sym, act(b_sym, f, w), w) - act(b_sym, act(a_sym, f, w), w))
+        assert act(sympy_terms(A.commutator(B)), f, w) == expected
+
+
+def test_commutator_with_l0_coefficients_matches_sympy():
+    rng = random.Random("commutator-l0")
+    for _ in range(4):
+        dim = rng.randint(1, 2)
+        a_data, b_data = (random_weighted_operator_data(rng, dim),
+                          random_weighted_operator_data(rng, dim))
+        A = DensityOperator(dim, {key: engine_l0_poly(p) for key, p in a_data.items()})
+        B = DensityOperator(dim, {key: engine_l0_poly(p) for key, p in b_data.items()})
+        f_data = random_poly_data(rng, dim, 4)
+        out = A.commutator(B).apply(Density(engine_poly(f_data), Scalar.param("w")))
+        a_sym = {key: sympy_l0_poly(p) for key, p in a_data.items()}
+        b_sym = {key: sympy_l0_poly(p) for key, p in b_data.items()}
+        f = sympy_poly(f_data)
+        expected = act(a_sym, act(b_sym, f, W), W) - act(b_sym, act(a_sym, f, W), W)
+        assert sympy.expand(sympy_jet_poly(out.coeff) - expected) == 0
+
+
+def lie_act(field, f, w):
+    """X^i d_i f + w (d_i X^i) f: the Lie derivative of a density of weight w."""
+    return sympy.expand(sum((x * sympy.diff(f, X[i]) + w * sympy.diff(x, X[i]) * f
+                             for i, x in enumerate(field)), sympy.Integer(0)))
+
+
+def test_ad_vf_matches_sympy():
+    rng = random.Random("ad_vf")
+    for _ in range(8):
+        dim = rng.randint(1, 2)
+        a_data, f_data = random_operator_data(rng, dim), random_poly_data(rng, dim, 4)
+        field_data = [random_poly_data(rng, dim, 2) for _ in range(dim)]
+        w = rational(random_rational(rng))
+        out = ad_vf([engine_poly(p) for p in field_data], engine_operator(dim, a_data))
+        field = [sympy_poly(p) for p in field_data]
+        a_sym = {key: sympy_poly(p) for key, p in a_data.items()}
+        f = sympy_poly(f_data)
+        expected = sympy.expand(lie_act(field, act(a_sym, f, w), w) - act(a_sym, lie_act(field, f, w), w))
+        assert act(sympy_terms(out), f, w) == expected

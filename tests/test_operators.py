@@ -18,7 +18,7 @@ from denslift.operators import (
 )
 from denslift.scalars import Scalar
 
-from helpers import generic_density, random_field, random_operator
+from helpers import generic_density, random_field, random_operator, random_poly
 
 f = DiffPolynomial.jet("f")
 g = DiffPolynomial.jet("g")
@@ -244,6 +244,60 @@ def test_ad_vf_is_a_derivation_of_compose():
         A = random_operator(rng, dim, max_total=2, max_terms=2)
         B = random_operator(rng, dim, max_total=2, max_terms=2)
         assert ad_vf(X, A @ B) == ad_vf(X, A) @ B + A @ ad_vf(X, B)
+
+
+def commutator_cases(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        dim = rng.randint(1, 2)
+        yield rng, dim, random_operator(rng, dim, max_total=3), random_operator(rng, dim, max_total=3)
+
+
+def test_commutator_is_antisymmetric_and_kills_the_centre():
+    for rng, dim, A, B in commutator_cases(29, 20):
+        assert A.commutator(B) == -B.commutator(A)
+        assert A.commutator(A).terms == {}
+        assert L(dim).commutator(A).is_zero() and A.commutator(L(dim)).is_zero()
+        f1, f2 = (DensityOperator.function(dim, random_poly(rng, dim)) for _ in range(2))
+        assert f1.commutator(f2).is_zero()
+
+
+def test_commutator_satisfies_jacobi():
+    rng = random.Random(31)
+    for _ in range(15):
+        dim = rng.randint(1, 2)
+        A, B, C = (random_operator(rng, dim, max_total=3, max_terms=2) for _ in range(3))
+        total = (A.commutator(B.commutator(C)) + B.commutator(C.commutator(A))
+                 + C.commutator(A.commutator(B)))
+        assert total.terms == {}
+
+
+def test_commutator_with_a_function_lowers_the_x_order():
+    for rng, dim, _, P in commutator_cases(37, 20):
+        f1 = DensityOperator.function(dim, random_poly(rng, dim))
+        out = f1.commutator(P)
+        assert out.is_zero() or out.x_order() < P.x_order()
+
+
+def test_commutator_keeps_no_cancelled_term():
+    # halves that cancel whole keys, or everything, leave no empty coefficient
+    a = DiffPolynomial.jet("a")
+    for rng, dim, A, B in commutator_cases(41, 20):
+        for out in (A.commutator(B), A.commutator(A * 2 + L(dim)), (A + B).commutator(A)):
+            assert all(c.terms and not any(s.is_zero() for s in c.terms.values())
+                       for c in out.terms.values())
+    fD = DensityOperator(1, {(0, (1,)): f})
+    assert (fD + DensityOperator.function(1, a)).commutator(fD) == \
+        DensityOperator.function(1, -f * a.derive(1))
+
+
+def test_commutator_checks_dimensions_before_any_product(monkeypatch):
+    def no_product(*args, **kwargs):
+        raise AssertionError("a product was formed")
+
+    monkeypatch.setattr("denslift.operators._leibniz", no_product)
+    with pytest.raises(DimensionMismatchError, match=r"^dim 1 vs 2$"):
+        D(1, 1).commutator(D(2, 1))
 
 
 def test_render_and_sorting():
