@@ -8,7 +8,10 @@ the adjoint normal-order by the closed Leibniz sum D^alpha o c = sum over
 beta <= alpha of C(alpha, beta) d^(alpha - beta)(c) D^beta, each derivative
 of c taken once; composition groups the left factor's terms by alpha, as L is
 central, and merges each group by jet monomial, so that one monomial product
-serves every L power.  The adjoint is the formal integration-by-parts
+serves every L power.  A commutator is both products summed into one map
+without their top terms (beta = alpha): coefficients commute, so the top term
+a b D^(alpha + gamma) of a pair of terms is the same in A o B and B o A and
+would only cancel.  The adjoint is the formal integration-by-parts
 anti-automorphism generated by L* = 1 - L, D* = -D, f* = f.
 
 All values are immutable by convention and safe to share across threads.
@@ -137,33 +140,9 @@ class DensityOperator:
         return self.compose(other)
 
     def compose(self, other: "DensityOperator") -> "DensityOperator":
-        """Normal form of self o other: each D^alpha1 o c2 by the closed
-        Leibniz sum on one derivative table of c2, shared by self's terms
-        with that alpha1, whose coefficients are merged by jet monomial so
-        that each product m1 m2 is formed once for all their L powers r1.
-        Products go into one monomial dict per result key, each built once."""
+        """Normal form of self o other (see _compose_into)."""
         self._check_dim(other)
-        # alpha1 -> (its L powers, {m1: [(index of r1 in the powers, a1), ...]})
-        groups: Dict[Tuple[int, ...], tuple] = {}
-        for (r1, alpha1), c1 in self.terms.items():
-            powers, merged = groups.setdefault(alpha1, ([], {}))
-            for m1, a1 in c1.terms.items():
-                merged.setdefault(m1, []).append((len(powers), a1))
-            powers.append(r1)
-        out: Dict[TermKey, dict] = {}
-        for (r2, alpha2), c2 in other.terms.items():
-            derivs = {(): c2}
-            for alpha1, (powers, merged) in groups.items():
-                for beta, g in _leibniz(alpha1, derivs):
-                    beta = tuple(sorted(beta + alpha2))
-                    dst = [out.setdefault((r1 + r2, beta), {}) for r1 in powers]
-                    for m1, left in merged.items():
-                        for m2, a2 in g:
-                            m = mono_mul(m1, m2)
-                            for i, a1 in left:   # collect's step, one target per power
-                                t = dst[i]
-                                prev = t.get(m)
-                                t[m] = a1 * a2 if prev is None else prev + a1 * a2
+        out = _compose_into({}, self, other)
         return DensityOperator(self.dim, {k: DiffPolynomial(t) for k, t in out.items()})
 
     def adjoint(self) -> "DensityOperator":
@@ -178,7 +157,14 @@ class DensityOperator:
         return DensityOperator(self.dim, {k: DiffPolynomial(t) for k, t in out.items()})
 
     def commutator(self, other: "DensityOperator") -> "DensityOperator":
-        return self @ other - other @ self
+        """[self, other] in one pass: self o other and -(other o self) go
+        into one map without their top Leibniz terms.  Coefficients commute,
+        so the top term a b D^(alpha + gamma) of each pair of terms is the
+        same in both products and cancels; it is never formed."""
+        self._check_dim(other)
+        out = _compose_into({}, self, other, top=False)
+        _compose_into(out, other, self, -1, top=False)
+        return DensityOperator(self.dim, {k: DiffPolynomial(t) for k, t in out.items()})
 
     # -- restriction and application -----------------------------------------
 
@@ -285,14 +271,48 @@ class DensityOperator:
         return f"DensityOperator(d={self.dim}, {self.render()})"
 
 
+def _compose_into(out: Dict[TermKey, dict], a: DensityOperator, b: DensityOperator,
+                  sign: int = 1, top: bool = True) -> Dict[TermKey, dict]:
+    """Add sign * (a o b) into out, {key: {jet monomial: Scalar}}, and return
+    it; top=False leaves out every top Leibniz term (see _leibniz).  Each
+    D^alpha1 o c2 is the closed Leibniz sum on one derivative table of c2,
+    shared by a's terms with that alpha1, whose coefficients are merged by
+    jet monomial (and negated once, for sign -1) so that each product m1 m2
+    is formed once for all their L powers r1."""
+    # alpha1 -> (its L powers, {m1: [(index of r1 in the powers, a1), ...]})
+    groups: Dict[Tuple[int, ...], tuple] = {}
+    for (r1, alpha1), c1 in a.terms.items():
+        powers, merged = groups.setdefault(alpha1, ([], {}))
+        for m1, a1 in c1.terms.items():
+            merged.setdefault(m1, []).append((len(powers), a1 if sign == 1 else -a1))
+        powers.append(r1)
+    for (r2, alpha2), c2 in b.terms.items():
+        derivs = {(): c2}
+        for alpha1, (powers, merged) in groups.items():
+            for beta, g in _leibniz(alpha1, derivs, top=top):
+                beta = tuple(sorted(beta + alpha2))
+                dst = [out.setdefault((r1 + r2, beta), {}) for r1 in powers]
+                for m1, left in merged.items():
+                    for m2, a2 in g:
+                        m = mono_mul(m1, m2)
+                        for i, a1 in left:   # collect's step, one target per power
+                            t = dst[i]
+                            prev = t.get(m)
+                            t[m] = a1 * a2 if prev is None else prev + a1 * a2
+    return out
+
+
 def _leibniz(alpha: Tuple[int, ...], derivs: Dict[Tuple[int, ...], DiffPolynomial],
-             scale: int = 1):
+             scale: int = 1, top: bool = True):
     """D^alpha o c as (beta, scale * C(alpha, beta) * d^(alpha - beta) c) for
-    every beta <= alpha, the coefficient as (jet monomial, Scalar) pairs.
-    derivs starts as {(): c} and keeps each derivative of c taken, with its
-    axes applied in sorted order."""
+    every beta <= alpha, the coefficient as (jet monomial, Scalar) pairs;
+    top=False skips beta = alpha.  derivs starts as {(): c} and keeps each
+    derivative of c taken, with its axes applied in sorted order."""
     counts = collect((axis, 1) for axis in alpha)
-    for ks in product(*(range(n + 1) for n in counts.values())):
+    full = tuple(counts.values())
+    for ks in product(*(range(n + 1) for n in full)):
+        if not top and ks == full:
+            continue
         beta, gamma, weight = (), (), scale
         for (axis, n), k in zip(counts.items(), ks):
             beta += (axis,) * k

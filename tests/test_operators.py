@@ -300,6 +300,20 @@ def test_commutator_checks_dimensions_before_any_product(monkeypatch):
         D(1, 1).commutator(D(2, 1))
 
 
+def test_leibniz_without_top_yields_each_lower_beta_once():
+    from denslift.operators import _leibniz
+
+    c = DiffPolynomial.jet("c")
+    for alpha in ((), (1,), (1, 1), (1, 2), (1, 1, 2), (1, 2, 2, 2)):
+        full = [beta for beta, _ in _leibniz(alpha, {(): c})]
+        lower = [beta for beta, _ in _leibniz(alpha, {(): c}, top=False)]
+        assert full[-1] == alpha and len(set(full)) == len(full)
+        assert sorted(lower) == sorted(full[:-1]) and alpha not in lower
+    lower = [beta for beta, _ in _leibniz((1, 1, 2), {(): c}, top=False)]
+    assert sorted(lower) == [(), (1,), (1, 1), (1, 2), (2,)]
+    assert list(_leibniz((), {(): c}, top=False)) == []
+
+
 def test_render_and_sorting():
     S = DiffPolynomial.jet("S", (1, 1))
     op = DensityOperator(1, {(0, (1, 1)): S, (1, ()): f, (0, ()): g})
