@@ -20,7 +20,7 @@ from operator import itemgetter
 from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple
 
 from .errors import DuplicateSymbolError
-from .scalars import Scalar, _by_factor, collect, mono_mul, render_sum
+from .scalars import Scalar, _by_factor, collect, collect_products, mono_mul, render_sum
 
 
 class JetSymbol(tuple):
@@ -182,14 +182,8 @@ class DiffPolynomial:
         return _coerce(other) + (-self)
 
     def __mul__(self, other) -> "DiffPolynomial":
-        if isinstance(other, (int, Fraction, Scalar)):
-            s = Scalar.of(other)
-            if s.is_zero():
-                return DiffPolynomial()
-            return DiffPolynomial({m: c * s for m, c in self.terms.items()})
-        rhs = _coerce(other).terms.items()
-        return DiffPolynomial(collect((mono_mul(ma, mb), ca * cb)
-                                      for ma, ca in self.terms.items() for mb, cb in rhs))
+        left = {m: [(0, c)] for m, c in self.terms.items()}
+        return DiffPolynomial(collect_products([{}], left, _coerce(other).terms.items())[0])
 
     __rmul__ = __mul__
 
@@ -217,25 +211,20 @@ class DiffPolynomial:
     # -- calculus ----------------------------------------------------------
 
     def derive(self, axis: int) -> "DiffPolynomial":
-        """Total derivative along an axis (Leibniz over monomial factors)."""
-
-        def leibniz():
-            for m, c in self.terms.items():
-                for k, (sym, exp) in enumerate(m):
-                    dsym = _derive_symbol(sym, axis)
-                    if dsym.is_zero():
-                        continue
-                    rest = list(m)
-                    if exp == 1:
-                        del rest[k]
-                    else:
-                        rest[k] = (sym, exp - 1)
-                    rest_mono = tuple(rest)
-                    scale = c * exp
-                    for dm, dc in dsym.terms.items():
-                        yield mono_mul(rest_mono, dm), scale * dc
-
-        return DiffPolynomial(collect(leibniz()))
+        """Total derivative along an axis by the chain rule: the sum over
+        symbols s of (dP/ds) * D(s), each D(s) formed once."""
+        dsyms, partials = {}, {}   # s -> terms of D(s); s -> dP/ds as {rest: [(0, c * exp)]}
+        for m, c in self.terms.items():
+            for k, (sym, exp) in enumerate(m):
+                if sym not in dsyms:
+                    dsyms[sym] = _derive_symbol(sym, axis).terms.items()
+                if dsyms[sym]:
+                    lower = ((sym, exp - 1),) if exp > 1 else ()
+                    partials.setdefault(sym, {})[m[:k] + lower + m[k + 1:]] = [(0, c * exp)]
+        out = {}
+        for sym, left in partials.items():
+            collect_products([out], left, dsyms[sym])
+        return DiffPolynomial(out)
 
     def substitute_params(self, bindings: Mapping[str, Scalar]) -> "DiffPolynomial":
         return DiffPolynomial({m: c.substitute(bindings) for m, c in self.terms.items()})

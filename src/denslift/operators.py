@@ -6,13 +6,13 @@ multiplies a density by its weight and is central here) in the middle, and
 symmetric derivative multi-indices D^alpha on the right.  Composition and
 the adjoint normal-order by the closed Leibniz sum D^alpha o c = sum over
 beta <= alpha of C(alpha, beta) d^(alpha - beta)(c) D^beta, each derivative
-of c taken once; composition groups the left factor's terms by alpha, as L is
-central, and merges each group by jet monomial, so that one monomial product
-serves every L power.  A commutator is both products summed into one map
-without their top terms (beta = alpha): coefficients commute, so the top term
-a b D^(alpha + gamma) of a pair of terms is the same in A o B and B o A and
-would only cancel.  The adjoint is the formal integration-by-parts
-anti-automorphism generated by L* = 1 - L, D* = -D, f* = f.
+of c taken once, and sum its products through ``scalars.collect_products``.
+Composition merges the left factor's terms that share an alpha by jet
+monomial, as L is central, so one monomial product serves every L power; the
+adjoint makes one Leibniz pass per term and spreads it over the L powers of
+(1 - L)^r.  A commutator is A o B + (-B) o A in one map without the top terms
+(beta = alpha), which coefficients commute and so would only cancel.  The
+adjoint is the formal anti-automorphism L* = 1 - L, D* = -D, f* = f.
 
 All values are immutable by convention and safe to share across threads.
 """
@@ -31,7 +31,7 @@ from .errors import (
     ZeroOperatorError,
 )
 from .jets import DiffPolynomial
-from .scalars import Scalar, collect, mono_mul, render_sum
+from .scalars import Scalar, collect, collect_products, render_sum
 
 TermKey = Tuple[int, Tuple[int, ...]]
 
@@ -120,8 +120,6 @@ class DensityOperator:
 
     def __mul__(self, factor) -> "DensityOperator":
         """Left multiplication by a coefficient function or scalar."""
-        if isinstance(factor, (int, Fraction, Scalar)):
-            factor = DiffPolynomial.const(factor)
         return DensityOperator(self.dim, {k: factor * c for k, c in self.terms.items()})
 
     __rmul__ = __mul__
@@ -147,23 +145,22 @@ class DensityOperator:
 
     def adjoint(self) -> "DensityOperator":
         """Formal adjoint: L -> 1 - L, D -> -D, f -> f, products reversed."""
-        # (-1)^|alpha| (1-L)^r (D^alpha o c), with (1-L)^r expanded into L powers
+        # (-1)^|alpha| (1-L)^r (D^alpha o c): each D^beta piece spread over the L powers
         out: Dict[TermKey, dict] = {}
         for (r, alpha), c in self.terms.items():
-            derivs = {(): c}
-            for j in range(r + 1):
-                for beta, g in _leibniz(alpha, derivs, comb(r, j) * (-1) ** (j + len(alpha))):
-                    collect(g, out.setdefault((j, beta), {}))
+            for beta, weight, g in _leibniz(alpha, {(): c}):
+                left = {(): [(j, Scalar.of(comb(r, j) * weight * (-1) ** (j + len(alpha))))
+                             for j in range(r + 1)]}
+                collect_products([out.setdefault((j, beta), {}) for j in range(r + 1)], left, g)
         return DensityOperator(self.dim, {k: DiffPolynomial(t) for k, t in out.items()})
 
     def commutator(self, other: "DensityOperator") -> "DensityOperator":
-        """[self, other] in one pass: self o other and -(other o self) go
-        into one map without their top Leibniz terms.  Coefficients commute,
-        so the top term a b D^(alpha + gamma) of each pair of terms is the
-        same in both products and cancels; it is never formed."""
+        """[self, other] as self o other + (-other) o self in one map, without
+        the top Leibniz terms: coefficients commute, so the top term
+        a b D^(alpha + gamma) of each pair of terms would only cancel."""
         self._check_dim(other)
         out = _compose_into({}, self, other, top=False)
-        _compose_into(out, other, self, -1, top=False)
+        _compose_into(out, -other, self, top=False)
         return DensityOperator(self.dim, {k: DiffPolynomial(t) for k, t in out.items()})
 
     # -- restriction and application -----------------------------------------
@@ -272,48 +269,41 @@ class DensityOperator:
 
 
 def _compose_into(out: Dict[TermKey, dict], a: DensityOperator, b: DensityOperator,
-                  sign: int = 1, top: bool = True) -> Dict[TermKey, dict]:
-    """Add sign * (a o b) into out, {key: {jet monomial: Scalar}}, and return
-    it; top=False leaves out every top Leibniz term (see _leibniz).  Each
+                  top: bool = True) -> Dict[TermKey, dict]:
+    """Add a o b into out, {key: {jet monomial: Scalar}}, and return it;
+    top=False leaves out every top Leibniz term (see _leibniz).  Each
     D^alpha1 o c2 is the closed Leibniz sum on one derivative table of c2,
-    shared by a's terms with that alpha1, whose coefficients are merged by
-    jet monomial (and negated once, for sign -1) so that each product m1 m2
-    is formed once for all their L powers r1."""
+    shared by a's terms with that alpha1, merged by jet monomial so that
+    collect_products forms each product m1 m2 once for all their L powers."""
     # alpha1 -> (its L powers, {m1: [(index of r1 in the powers, a1), ...]})
     groups: Dict[Tuple[int, ...], tuple] = {}
     for (r1, alpha1), c1 in a.terms.items():
         powers, merged = groups.setdefault(alpha1, ([], {}))
         for m1, a1 in c1.terms.items():
-            merged.setdefault(m1, []).append((len(powers), a1 if sign == 1 else -a1))
+            merged.setdefault(m1, []).append((len(powers), a1))
         powers.append(r1)
     for (r2, alpha2), c2 in b.terms.items():
         derivs = {(): c2}
         for alpha1, (powers, merged) in groups.items():
-            for beta, g in _leibniz(alpha1, derivs, top=top):
+            for beta, weight, g in _leibniz(alpha1, derivs, top=top):
                 beta = tuple(sorted(beta + alpha2))
-                dst = [out.setdefault((r1 + r2, beta), {}) for r1 in powers]
-                for m1, left in merged.items():
-                    for m2, a2 in g:
-                        m = mono_mul(m1, m2)
-                        for i, a1 in left:   # collect's step, one target per power
-                            t = dst[i]
-                            prev = t.get(m)
-                            t[m] = a1 * a2 if prev is None else prev + a1 * a2
+                collect_products([out.setdefault((r1 + r2, beta), {}) for r1 in powers], merged,
+                                 g if weight == 1 else [(m, a * weight) for m, a in g])
     return out
 
 
 def _leibniz(alpha: Tuple[int, ...], derivs: Dict[Tuple[int, ...], DiffPolynomial],
-             scale: int = 1, top: bool = True):
-    """D^alpha o c as (beta, scale * C(alpha, beta) * d^(alpha - beta) c) for
-    every beta <= alpha, the coefficient as (jet monomial, Scalar) pairs;
-    top=False skips beta = alpha.  derivs starts as {(): c} and keeps each
-    derivative of c taken, with its axes applied in sorted order."""
+             top: bool = True):
+    """D^alpha o c as (beta, C(alpha, beta), d^(alpha - beta) c) for every
+    beta <= alpha, the derivative as (jet monomial, Scalar) pairs; top=False
+    skips beta = alpha.  derivs starts as {(): c} and keeps each derivative
+    of c taken, with its axes applied in sorted order."""
     counts = collect((axis, 1) for axis in alpha)
     full = tuple(counts.values())
     for ks in product(*(range(n + 1) for n in full)):
         if not top and ks == full:
             continue
-        beta, gamma, weight = (), (), scale
+        beta, gamma, weight = (), (), 1
         for (axis, n), k in zip(counts.items(), ks):
             beta += (axis,) * k
             gamma += (axis,) * (n - k)
@@ -321,8 +311,7 @@ def _leibniz(alpha: Tuple[int, ...], derivs: Dict[Tuple[int, ...], DiffPolynomia
         for i, axis in enumerate(gamma):
             if gamma[:i + 1] not in derivs:
                 derivs[gamma[:i + 1]] = derivs[gamma[:i]].derive(axis)
-        g = derivs[gamma].terms.items()
-        yield beta, g if weight == 1 else [(m, a * weight) for m, a in g]
+        yield beta, weight, derivs[gamma].terms.items()
 
 
 # -- function forms of the core operations -------------------------------------

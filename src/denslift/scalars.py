@@ -59,6 +59,20 @@ def mono_mul(a, b):
     return tuple(sorted(out.items(), key=_by_factor))
 
 
+def collect_products(targets, left, right):
+    """The one multiply-accumulate loop: for every (i, a1) in ``left[m1]`` and
+    (m2, a2) in ``right``, add a1 * a2 at ``mono_mul(m1, m2)`` into ``targets[i]``;
+    return ``targets``.  Zero sums stay, as in ``collect``."""
+    for m1, row in left.items():
+        for m2, a2 in right:
+            m = mono_mul(m1, m2)
+            for i, a1 in row:
+                t = targets[i]
+                prev = t.get(m)
+                t[m] = a1 * a2 if prev is None else prev + a1 * a2
+    return targets
+
+
 # -- integer polynomials in k variables ------------------------------------------
 
 

@@ -305,11 +305,11 @@ def test_leibniz_without_top_yields_each_lower_beta_once():
 
     c = DiffPolynomial.jet("c")
     for alpha in ((), (1,), (1, 1), (1, 2), (1, 1, 2), (1, 2, 2, 2)):
-        full = [beta for beta, _ in _leibniz(alpha, {(): c})]
-        lower = [beta for beta, _ in _leibniz(alpha, {(): c}, top=False)]
+        full = [beta for beta, _, _ in _leibniz(alpha, {(): c})]
+        lower = [beta for beta, _, _ in _leibniz(alpha, {(): c}, top=False)]
         assert full[-1] == alpha and len(set(full)) == len(full)
         assert sorted(lower) == sorted(full[:-1]) and alpha not in lower
-    lower = [beta for beta, _ in _leibniz((1, 1, 2), {(): c}, top=False)]
+    lower = [beta for beta, _, _ in _leibniz((1, 1, 2), {(): c}, top=False)]
     assert sorted(lower) == [(), (1,), (1, 1), (1, 2), (2,)]
     assert list(_leibniz((), {(): c}, top=False)) == []
 

@@ -234,3 +234,20 @@ def test_tracer_classifies_denominators_through_the_den_view():
         assert is_const_den(s.den), s
     for s in (Scalar.of(1) / (2 * l0 - 1), 1 / (k1 * l0), L_ / (L_ + l0)):
         assert not is_const_den(s.den), s
+
+
+def test_collect_products_accumulates_into_each_target():
+    from denslift.scalars import collect_products
+
+    x, x2 = (("x", 1),), (("x", 2),)
+    left = {x: [(0, Scalar.of(2)), (1, l0)], (): [(1, Scalar.of(3))]}
+    right = [((), Scalar.of(5)), (x, Scalar.of(7))]
+    targets = [{}, {x: Scalar.of(1)}]
+    assert collect_products(targets, left, right) is targets
+    assert targets[0] == {x: Scalar.of(10), x2: Scalar.of(14)}
+    # x is hit twice in target 1, as x * 1 and 1 * x, on top of its prior 1
+    assert targets[1] == {x: 5 * l0 + 22, x2: 7 * l0, (): Scalar.of(15)}
+    # a sum that cancels keeps its key with a zero value, as collect's do
+    zero = collect_products([{}], {x: [(0, 7 * l0)], (): [(0, -5 * l0)]}, right)[0]
+    assert zero == {x: Scalar.of(0), x2: 49 * l0, (): -25 * l0}
+    assert x in zero and zero[x].is_zero()
