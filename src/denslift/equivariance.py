@@ -120,6 +120,14 @@ def ad_on_lifting(handle: LiftingHandle, delta: DensityOperator,
     return ad_vf(components, lifted) - handle(moved)
 
 
+# (A, B, C, D) of each lifting kind with a volume variation, at delta's order
+_FAMILIES = {
+    "canonical": lambda d, l0, p: family_polynomials(d.dim, l0, d.total_order(), ZERO),
+    "distinguished": lambda d, l0, p: distinguished_coefficients(d.dim, l0, d.total_order()),
+    "vol": lambda d, l0, p: family_polynomials(d.dim, l0, p.n, p.b, p.c, p.d),
+}
+
+
 def volume_variation(kind: str, delta: DensityOperator, l0, rho: VolumeForm,
                      h: DiffPolynomial,
                      params: Optional[VolLiftParams] = None) -> DensityOperator:
@@ -130,35 +138,25 @@ def volume_variation(kind: str, delta: DensityOperator, l0, rho: VolumeForm,
     commutator.
     """
     l0 = Scalar.of(l0)
-    dim = delta.dim
-    n = delta.total_order()
-    lifted = canonical_lift(delta, l0, rho)
-    h_op = DensityOperator.function(dim, h)
-    core = DensityOperator.lam_poly(dim, [ZERO, h_op.commutator(lifted)], l0)
-    if kind == "canonical":
-        polys = family_polynomials(dim, l0, n, ZERO)
-    elif kind == "distinguished":
-        polys = distinguished_coefficients(dim, l0, n)
-    elif kind == "vol":
-        polys = family_polynomials(dim, l0, params.n, params.b, params.c, params.d)
-    else:
+    if kind not in _FAMILIES:
         raise ValueError(f"no variation formula for lifting kind {kind!r}")
-    return apply_family(polys, core)
+    polys = _FAMILIES[kind](delta, l0, params)
+    h_op = DensityOperator.function(delta.dim, h)
+    commutator = h_op.commutator(canonical_lift(delta, l0, rho))
+    return apply_family(polys, DensityOperator.lam_poly(delta.dim, [ZERO, commutator], l0))
 
 
 def check_adX_variation_identity(delta: DensityOperator, l0, rho: VolumeForm,
                                  components: VectorField, kind: str = "canonical",
                                  params: Optional[VolLiftParams] = None) -> bool:
-    """ad_X of the lifting equals its volume variation at delta rho = rho div X."""
+    """ad_X of the lifting equals its volume variation at delta rho = rho div X.
+    Both sides use the family of delta's order, also where ad_X lowers it."""
     l0 = Scalar.of(l0)
-    if kind == "canonical":
-        handle = LiftingHandle.canonical(l0, rho)
-    elif kind == "vol":
-        handle = LiftingHandle.vol(l0, rho, params)
-    elif kind == "distinguished":
-        handle = LiftingHandle.distinguished(l0, rho)
-    else:
+    if kind not in _FAMILIES:
         raise ValueError(f"identity check undefined for kind {kind!r}")
+    polys = _FAMILIES[kind](delta, l0, params)
+    handle = LiftingHandle(kind, l0, lambda d: apply_family(polys, canonical_lift(d, l0, rho)),
+                           params)
     lhs = ad_on_lifting(handle, delta, components)
     rhs = volume_variation(kind, delta, l0, rho, divergence(components, rho), params)
     return lhs == rhs

@@ -152,12 +152,14 @@ def family_polynomials(dim: int, l0: Scalar, n: int, b: Scalar, c: Sequence[Scal
 def apply_family(polys: Sequence[DensityOperator], lifted: DensityOperator) -> DensityOperator:
     """A(L) P + B(L) P* + C(L) P(1) + D(L) P*(1) for polys = (A, B, C, D)."""
     a_poly, b_poly, c_poly, d_poly = polys
-    lifted_adj = lifted.adjoint()
-    out = a_poly @ lifted + b_poly @ lifted_adj
+    out = a_poly @ lifted
     if not c_poly.is_zero():
         out = out + c_poly * lifted.app1()
-    if not d_poly.is_zero():
-        out = out + d_poly * lifted_adj.app1()
+    if not (b_poly.is_zero() and d_poly.is_zero()):   # P* only where it enters
+        lifted_adj = lifted.adjoint()
+        out = out + b_poly @ lifted_adj
+        if not d_poly.is_zero():
+            out = out + d_poly * lifted_adj.app1()
     return out
 
 

@@ -10,6 +10,7 @@ from denslift.equivariance import (
     DivFreeTensor,
     LiftingHandle,
     ad_on_lifting,
+    ad_weight,
     check_adX_variation_identity,
     classify_sdiff_map,
     divergence,
@@ -320,6 +321,19 @@ def test_ad_variation_identity_distinguished():
         X = [DiffPolynomial.jet("X", (i,)) + comp
              for i, comp in enumerate(random_field(rng, dim), start=1)]
         assert check_adX_variation_identity(delta, weight, rho, X, "distinguished")
+
+
+def test_ad_variation_identity_when_ad_lowers_the_order():
+    # a constant field takes the top term of delta to zero, so ad_X delta has
+    # order 1; both sides must still lift with the family of delta's order
+    b, c1, a1 = (DiffPolynomial.jet(base, (), lower) for base, lower in
+                 (("b", ()), ("c", (1,)), ("a", (1,))))
+    delta = DensityOperator(1, {(0, (1, 1)): DiffPolynomial.const(2), (0, (1,)): -(b * c1),
+                                (0, ()): a1 * Fraction(4, 3)})
+    X = [DiffPolynomial.const(-2)]
+    assert ad_weight(X, delta, l0).total_order() == 1
+    for kind in ("canonical", "distinguished"):
+        assert check_adX_variation_identity(delta, l0, GEN, X, kind), kind
 
 
 def test_unknown_lifting_kinds_raise():
