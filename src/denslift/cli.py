@@ -49,7 +49,7 @@ from .projective import (
     schwarzian_cocycle_check,
     schwarzian_data,
 )
-from .scalars import Scalar
+from .scalars import Scalar, collect
 
 # single letters like b, c, d stay jet symbols unless declared via --params
 DEFAULT_PARAMS = ("l0", "lam", "mu", "k1", "k2", "k3", "kappa", "eps")
@@ -159,22 +159,19 @@ class _Parser:
         return value
 
     def expr(self):
-        negate = False
+        summands, sign = [], "+"
         kind, val, _ = self.peek()
         if kind == "op" and val in "+-":
             self.next()
-            negate = val == "-"
-        total = self.term()
-        if negate:
-            total = -total
+            sign = val
         while True:
+            value = self.term()
+            summands.append(-value if sign == "-" else value)
             kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                nxt = self.term()
-                total = total - nxt if val == "-" else total + nxt
-            else:
-                return total
+            if not (kind == "op" and val in "+-"):
+                return summands[0] if len(summands) == 1 else _sum(summands)
+            self.next()
+            sign = val
 
     def term(self):
         product = self.factor()
@@ -343,7 +340,7 @@ def operator_from_json(text: str, cfg: SessionConfig) -> DensityOperator:
         terms = [(t["lpow"], t["dmulti"], t["coeff"]) for t in json.loads(text)["terms"]]
     except (ValueError, KeyError, TypeError) as exc:
         raise SchemaError(f"not a denslift/1 operator: {exc!r}") from None
-    out = DensityOperator.zero(cfg.dim)
+    pieces = [DensityOperator.zero(cfg.dim)]
     for r, alpha, coeff in terms:
         if (type(r) is not int or not isinstance(alpha, list) or not isinstance(coeff, str)
                 or any(type(a) is not int for a in alpha)):
@@ -354,10 +351,20 @@ def operator_from_json(text: str, cfg: SessionConfig) -> DensityOperator:
         if f is None:
             raise SchemaError(f"coeff {coeff!r} is not a coefficient function")
         try:
-            out = out + DensityOperator(cfg.dim, {(r, tuple(alpha)): f})
+            pieces.append(DensityOperator(cfg.dim, {(r, tuple(alpha)): f}))
         except ValueError as exc:
             raise SchemaError(str(exc)) from None
-    return out
+    return _sum(pieces)
+
+
+def _sum(pieces):
+    """Sum of operators, or of symbols, in one pass by term key and jet monomial;
+    adding them one at a time copies the running sum once per piece."""
+    out: Dict = {}
+    for piece in pieces:
+        for key, c in piece.terms.items():
+            collect(c.terms.items(), out.setdefault(key, {}))
+    return type(piece)(piece.dim, {key: DiffPolynomial(t) for key, t in out.items()})
 
 
 # -- output, input and flags ------------------------------------------------------

@@ -1,6 +1,7 @@
 """CLI: grammar round trips, JSON re-ingestion, command exit codes."""
 
 import io
+import itertools
 import json
 import random
 import re
@@ -153,6 +154,28 @@ def test_json_ingestion_rejects_malformed_input():
     assert time.perf_counter() - start < 1
     top = f'{{"terms": [{{"lpow": {MAX_TERM_ORDER - 1}, "dmulti": [1], "coeff": "1"}}]}}'
     assert operator_from_json(top, cfg(dim=1)).total_order() == MAX_TERM_ORDER
+
+
+def test_readers_sum_4000_pieces_in_linear_time():
+    # 4000 distinct dim-8 terms of JSON (202 kB), and 4000 summands on one
+    # term key; summing one piece at a time took 11 s and 2 s on a 2-CPU host
+    keys = [(r, list(alpha)) for k in range(7)
+            for alpha in itertools.combinations_with_replacement(range(1, 9), k)
+            for r in range(3)][:4000]
+    text = json.dumps({"terms": [{"lpow": r, "dmulti": alpha, "coeff": "f"}
+                                 for r, alpha in keys]})
+    start = time.perf_counter()
+    op = operator_from_json(text, cfg(dim=8))
+    assert time.perf_counter() - start < 2
+    assert len(op.terms) == 4000 and op.coefficient(*keys[-1]) == DiffPolynomial.jet("f")
+    src = " + ".join(f"f{i}" for i in range(4000)) + " - f7 + 2 f8"
+    start = time.perf_counter()
+    op = parse_operator(src, cfg(dim=1))
+    assert time.perf_counter() - start < 1
+    coeff = op.coefficient(0, ())
+    assert len(coeff.terms) == 3999 and coeff == sum(
+        (DiffPolynomial.jet(f"f{i}") * (3 if i == 8 else 1) for i in range(4000) if i != 7),
+        DiffPolynomial.zero())
 
 
 def test_cli_adjoint_of_weight(capsys):
