@@ -271,10 +271,9 @@ class DensityOperator:
 def _compose_into(out: Dict[TermKey, dict], a: DensityOperator, b: DensityOperator,
                   top: bool = True) -> Dict[TermKey, dict]:
     """Add a o b into out, {key: {jet monomial: Scalar}}, and return it;
-    top=False leaves out every top Leibniz term (see _leibniz).  Each
-    D^alpha1 o c2 is the closed Leibniz sum on one derivative table of c2,
-    shared by a's terms with that alpha1, merged by jet monomial so that
-    collect_products forms each product m1 m2 once for all their L powers."""
+    top=False leaves out the top Leibniz terms (see _leibniz).  a's terms are
+    grouped by alpha1, sharing one derivative table of each c2, and merged by
+    jet monomial, so collect_products forms each m1 m2 once for all L powers."""
     # alpha1 -> (its L powers, {m1: [(index of r1 in the powers, a1), ...]})
     groups: Dict[Tuple[int, ...], tuple] = {}
     for (r1, alpha1), c1 in a.terms.items():
