@@ -155,8 +155,7 @@ def check_adX_variation_identity(delta: DensityOperator, l0, rho: VolumeForm,
     if kind not in _FAMILIES:
         raise ValueError(f"identity check undefined for kind {kind!r}")
     polys = _FAMILIES[kind](delta, l0, params)
-    handle = LiftingHandle(kind, l0, lambda d: apply_family(polys, canonical_lift(d, l0, rho)),
-                           params)
+    handle = LiftingHandle(kind, l0, lambda d: apply_family(polys, canonical_lift(d, l0, rho)))
     lhs = ad_on_lifting(handle, delta, components)
     rhs = volume_variation(kind, delta, l0, rho, divergence(components, rho), params)
     return lhs == rhs

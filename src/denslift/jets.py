@@ -183,7 +183,8 @@ class DiffPolynomial:
 
     def __mul__(self, other) -> "DiffPolynomial":
         if isinstance(other, (int, Fraction, Scalar)):   # no sum: scale each coefficient
-            return DiffPolynomial({m: c * other for m, c in self.terms.items()})
+            s = Scalar.of(other)
+            return DiffPolynomial({} if s.is_zero() else {m: c * s for m, c in self.terms.items()})
         left = {m: [(0, c)] for m, c in self.terms.items()}
         return DiffPolynomial(collect_products([{}], left, _coerce(other).terms.items())[0])
 
