@@ -95,7 +95,7 @@ class DensityOperator:
     def lam_poly(dim: int, coeffs: Sequence, center=0) -> "DensityOperator":
         """Weight polynomial sum_k coeffs[k] * (L - center)^k by Horner's rule;
         a coefficient is a scalar, a coefficient function or an operator."""
-        shift = DensityOperator.weight(dim) - DensityOperator.identity(dim) * center
+        shift = DensityOperator.weight(dim) - DensityOperator.function(dim, center)
         out = DensityOperator.zero(dim)
         for c in reversed(coeffs):
             out = shift @ out + (c if isinstance(c, DensityOperator)
@@ -120,7 +120,7 @@ class DensityOperator:
 
     def __mul__(self, factor) -> "DensityOperator":
         """Left multiplication by a coefficient function or scalar."""
-        return DensityOperator(self.dim, {k: factor * c for k, c in self.terms.items()})
+        return DensityOperator(self.dim, {k: c * factor for k, c in self.terms.items()})
 
     __rmul__ = __mul__
 
