@@ -160,18 +160,15 @@ class _Parser:
 
     def expr(self):
         summands, sign = [], "+"
-        kind, val, _ = self.peek()
-        if kind == "op" and val in "+-":
-            self.next()
-            sign = val
         while True:
+            kind, val, _ = self.peek()
+            if kind == "op" and val in "+-":
+                self.next()
+                sign = val
+            elif summands:   # a sign may lead the first summand and must join the others
+                return summands[0] if len(summands) == 1 else _sum(summands)
             value = self.term()
             summands.append(-value if sign == "-" else value)
-            kind, val, _ = self.peek()
-            if not (kind == "op" and val in "+-"):
-                return summands[0] if len(summands) == 1 else _sum(summands)
-            self.next()
-            sign = val
 
     def term(self):
         product = self.factor()

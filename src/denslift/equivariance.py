@@ -23,6 +23,7 @@ from .lifting import (
     canonical_lift,
     distinguished_coefficients,
     family_polynomials,
+    vol_family,
 )
 from .operators import (
     DensityOperator,
@@ -124,7 +125,7 @@ def ad_on_lifting(handle: LiftingHandle, delta: DensityOperator,
 _FAMILIES = {
     "canonical": lambda d, l0, p: family_polynomials(d.dim, l0, d.total_order(), ZERO),
     "distinguished": lambda d, l0, p: distinguished_coefficients(d.dim, l0, d.total_order()),
-    "vol": lambda d, l0, p: family_polynomials(d.dim, l0, p.n, p.b, p.c, p.d),
+    "vol": vol_family,
 }
 
 
@@ -141,8 +142,7 @@ def volume_variation(kind: str, delta: DensityOperator, l0, rho: VolumeForm,
     if kind not in _FAMILIES:
         raise ValueError(f"no variation formula for lifting kind {kind!r}")
     polys = _FAMILIES[kind](delta, l0, params)
-    h_op = DensityOperator.function(delta.dim, h)
-    commutator = h_op.commutator(canonical_lift(delta, l0, rho))
+    commutator = DensityOperator.function(delta.dim, h).commutator(canonical_lift(delta, l0, rho))
     return apply_family(polys, DensityOperator.lam_poly(delta.dim, [ZERO, commutator], l0))
 
 

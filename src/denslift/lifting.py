@@ -170,12 +170,15 @@ def vol_lift(delta: DensityOperator, l0, rho: VolumeForm,
     l0 = Scalar.of(l0)
     if delta.is_zero():
         return delta
-    n = params.n
-    if n < delta.total_order():
-        raise OrderViolationError(
-            f"parameter lists of length {n} cannot lift an order {delta.total_order()} operator")
-    polys = family_polynomials(delta.dim, l0, n, params.b, params.c, params.d)
-    return apply_family(polys, canonical_lift(delta, l0, rho))
+    return apply_family(vol_family(delta, l0, params), canonical_lift(delta, l0, rho))
+
+
+def vol_family(delta: DensityOperator, l0: Scalar, params: VolLiftParams):
+    """(A, B, C, D) of the member with params, whose lists must cover delta's order."""
+    if delta.terms and params.n < delta.total_order():
+        raise OrderViolationError(f"parameter lists of length {params.n} cannot lift "
+                                  f"an order {delta.total_order()} operator")
+    return family_polynomials(delta.dim, l0, params.n, params.b, params.c, params.d)
 
 
 def distinguished_coefficients(dim: int, l0: Scalar, n: int) -> Tuple[DensityOperator, ...]:

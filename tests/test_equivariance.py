@@ -23,6 +23,7 @@ from denslift.errors import (
     DimensionTooSmallError,
     ExceptionalWeightError,
     HasWeightOperatorError,
+    OrderViolationError,
 )
 from denslift.jets import DiffPolynomial
 from denslift.lifting import VolLiftParams, VolumeForm, canonical_lift
@@ -334,6 +335,19 @@ def test_ad_variation_identity_when_ad_lowers_the_order():
     assert ad_weight(X, delta, l0).total_order() == 1
     for kind in ("canonical", "distinguished"):
         assert check_adX_variation_identity(delta, l0, GEN, X, kind), kind
+
+
+def test_vol_parameter_lists_must_cover_the_order():
+    a, b = DiffPolynomial.jet("a"), DiffPolynomial.jet("b")
+    delta = DensityOperator(1, {(0, (1, 1)): a, (0, ()): b})
+    params = VolLiftParams.of(1, [2], [3])
+    message = "^parameter lists of length 1 cannot lift an order 2 operator$"
+    with pytest.raises(OrderViolationError, match=message):
+        check_adX_variation_identity(delta, l0, GEN, [DiffPolynomial.jet("X", (1,))], "vol", params)
+    with pytest.raises(OrderViolationError, match=message):
+        volume_variation("vol", delta, l0, GEN, DiffPolynomial.jet("h"), params)
+    assert volume_variation("vol", DensityOperator.zero(1), l0, GEN, DiffPolynomial.jet("h"),
+                            params).is_zero()
 
 
 def test_unknown_lifting_kinds_raise():
