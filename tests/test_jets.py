@@ -247,3 +247,61 @@ def test_powers_take_one_product_fewer_than_the_exponent(monkeypatch):
     assert p ** 0 == 1 and not products
     assert p ** 1 == p and not products
     assert p ** 3 == mul(mul(p, p), p) and len(products) == 2
+
+
+# -- derive against a product-rule reference written here -------------------------
+
+# a user symbol with a table rule: D1 = a_,2 x[1], D2 = -3/2, D3 = 0
+_TABLE_BASE = "vtab"
+_TABLE_RULE = {1: DiffPolynomial.jet("a", (), (2,)) * DiffPolynomial.jet("x", (1,)),
+               2: DiffPolynomial.const(Fraction(-3, 2))}
+register_symbol(_TABLE_BASE, _TABLE_RULE)
+
+_UNRULED = [JetSymbol("a"), JetSymbol("a", (), (1,)), JetSymbol("b", (), (1, 2)),
+            JetSymbol("S", (1, 2)), JetSymbol("S", (1, 1), (2,)), JetSymbol("T", (2,), (1, 1)),
+            JetSymbol("y", (), (1,))]
+_RULED = [JetSymbol("x", (1,)), JetSymbol("x", (2,)), JetSymbol("w"), JetSymbol(_TABLE_BASE)]
+
+
+def _reference_dsymbol(sym, axis):
+    """D(s) along an axis, from the rules as stated, not from the registry."""
+    if sym.base == "x":
+        return DiffPolynomial.const(1 if sym.upper == (axis,) else 0)
+    if sym.base == "w":   # w = 1/y_x at dim 1: dw = -w^2 y_xx along any axis
+        return -(DiffPolynomial.jet("w") ** 2) * DiffPolynomial.jet("y", (), (1, 1))
+    if sym.base == _TABLE_BASE:
+        return _TABLE_RULE.get(axis, DiffPolynomial.zero())
+    return DiffPolynomial.jet(sym.base, sym.upper, sym.lower + (axis,))
+
+
+def _reference_derive(p, axis):
+    """The sum over occurrences of c * exp * (monomial with s lowered) * D(s)."""
+    out = DiffPolynomial.zero()
+    for m, c in p.terms.items():
+        for sym, exp in m:
+            lowered = DiffPolynomial.const(c * exp)
+            for other, e in m:
+                lowered = lowered * DiffPolynomial.of_symbol(other) ** (e - (other == sym))
+            out = out + lowered * _reference_dsymbol(sym, axis)
+    return out
+
+
+def test_derive_matches_the_product_rule_on_mixed_symbols():
+    import denslift.projective  # noqa: F401  (registers the rule of w)
+
+    rng = random.Random(16)
+    l0 = Scalar.param("l0")
+    for _ in range(150):
+        terms = {}
+        for _ in range(rng.randint(1, 6)):
+            syms = rng.sample(_UNRULED, rng.randint(0, 3)) + rng.sample(_RULED, rng.randint(0, 2))
+            mono = tuple(sorted((s, rng.choice([1, 1, 2, 3])) for s in syms))
+            c = Scalar.of(Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 3)))
+            terms[mono] = c * l0 if rng.random() < 0.3 else c
+        p = DiffPolynomial(terms)
+        for axis in (1, 2, 3):
+            got = p.derive(axis)
+            assert got == _reference_derive(p, axis), (str(p), axis)
+            for m in got.terms:
+                assert all(exp > 0 for _, exp in m), m
+                assert [s for s, _ in m] == sorted({s for s, _ in m}), m
