@@ -214,17 +214,24 @@ class DiffPolynomial:
     # -- calculus ----------------------------------------------------------
 
     def derive(self, axis: int) -> "DiffPolynomial":
-        """Total derivative along an axis by the chain rule: the sum over
-        symbols s of (dP/ds) * D(s), each D(s) formed once."""
-        dsyms, partials = {}, {}   # s -> terms of D(s); s -> dP/ds as {rest: [(0, c * exp)]}
+        """Total derivative along an axis, the sum over symbols s of (dP/ds) D(s).
+        A symbol with no rule derives to s_,axis, so each occurrence adds c * exp
+        at one monomial with no product; a rule's D(s) is formed once per call."""
+        out, dsyms, partials = {}, {}, {}   # s -> D(s) terms or ((s_,axis, 1),); s -> dP/ds
         for m, c in self.terms.items():
             for k, (sym, exp) in enumerate(m):
-                if sym not in dsyms:
-                    dsyms[sym] = _derive_symbol(sym, axis).terms.items()
-                if dsyms[sym]:
-                    lower = ((sym, exp - 1),) if exp > 1 else ()
-                    partials.setdefault(sym, {})[m[:k] + lower + m[k + 1:]] = [(0, c * exp)]
-        out = {}
+                ds = dsyms.get(sym)
+                if ds is None:
+                    rule = REGISTRY.rule_for(sym[0])
+                    ds = dsyms[sym] = (rule(sym, axis).terms.items() if rule
+                                       else ((sym.with_derivative(axis), 1),))
+                rest = m[:k] + (((sym, exp - 1),) if exp > 1 else ()) + m[k + 1:]
+                a = c * exp if exp > 1 else c
+                if type(ds) is tuple:
+                    key = mono_mul(rest, ds)
+                    out[key] = out[key] + a if key in out else a
+                elif ds:
+                    partials.setdefault(sym, {})[rest] = [(0, a)]
         for sym, left in partials.items():
             collect_products([out], left, dsyms[sym])
         return DiffPolynomial(out)
@@ -290,13 +297,6 @@ class DiffPolynomial:
 
 def _mono_sort_key(m: JetMono):
     return (-sum(e for _, e in m), m)
-
-
-def _derive_symbol(sym: JetSymbol, axis: int) -> DiffPolynomial:
-    rule = REGISTRY.rule_for(sym.base)
-    if rule is not None:
-        return rule(sym, axis)
-    return DiffPolynomial.of_symbol(sym.with_derivative(axis))
 
 
 def _coerce(value) -> DiffPolynomial:

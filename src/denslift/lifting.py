@@ -152,7 +152,7 @@ def family_polynomials(dim: int, l0: Scalar, n: int, b: Scalar, c: Sequence[Scal
 def apply_family(polys: Sequence[DensityOperator], lifted: DensityOperator) -> DensityOperator:
     """A(L) P + B(L) P* + C(L) P(1) + D(L) P*(1) for polys = (A, B, C, D)."""
     a_poly, b_poly, c_poly, d_poly = polys
-    out = a_poly @ lifted
+    out = lifted if a_poly == DensityOperator.identity(lifted.dim) else a_poly @ lifted
     if not c_poly.is_zero():
         out = out + c_poly * lifted.app1()
     if not (b_poly.is_zero() and d_poly.is_zero()):   # P* only where it enters

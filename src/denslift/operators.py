@@ -98,8 +98,8 @@ class DensityOperator:
         shift = DensityOperator.weight(dim) - DensityOperator.function(dim, center)
         out = DensityOperator.zero(dim)
         for c in reversed(coeffs):
-            out = shift @ out + (c if isinstance(c, DensityOperator)
-                                 else DensityOperator.function(dim, c))
+            c = c if isinstance(c, DensityOperator) else DensityOperator.function(dim, c)
+            out = (shift @ out if out.terms else out) + c
         return out
 
     # -- linear structure ----------------------------------------------------

@@ -1,5 +1,6 @@
 """CLI: grammar round trips, JSON re-ingestion, command exit codes."""
 
+import contextlib
 import io
 import itertools
 import json
@@ -11,6 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from denslift import cli
 from denslift.cli import (
@@ -24,7 +26,13 @@ from denslift.cli import (
     parse_operator,
     parse_symbol,
 )
-from denslift.errors import CoefficientTooLargeError, IndexRangeError, ParseError, SchemaError
+from denslift.errors import (
+    CoefficientTooLargeError,
+    DensliftError,
+    IndexRangeError,
+    ParseError,
+    SchemaError,
+)
 from denslift.jets import DiffPolynomial
 from denslift.operators import DensityOperator
 from denslift.projective import SymbolPoly
@@ -652,3 +660,80 @@ def test_symbol_times_a_scalar_on_the_right(capsys):
         shown.append(capsys.readouterr().out)
     assert shown[0] == shown[1]
     assert shown[0].startswith("1/2*a*D1*D1 + ")
+
+
+# -- never a traceback ----------------------------------------------------------
+
+# Token soup from the grammar's alphabet, a few stray characters included.  Few
+# tokens and exponents of at most 2 keep every drawn input small: a dim-8
+# (D1 ... D8)^3 product stays out of reach.
+_SOUP = ["D1", "D2", "D3", "D9", "L", "xi", "xi1", "xi2", "f", "g", "S", "T[1]", "a_,1",
+         "l0", "k1", "b", "c1", "0", "1", "2", "1/2", "3/0", "(", ")", "[", "]", ",", "_",
+         "+", "-", "*", "/", "^", " ", "@", "{", "}", '"', ":", "\t"]
+_expressions = st.lists(st.sampled_from(_SOUP), max_size=6).map(" ".join)
+_json_texts = st.builds(
+    lambda terms, top, cut: json.dumps({top: terms})[:cut],
+    st.lists(st.dictionaries(
+        st.sampled_from(["lpow", "dmulti", "coeff", "x"]),
+        st.one_of(st.integers(-2, 30), st.lists(st.integers(-1, 9), max_size=4),
+                  _expressions, st.none(), st.booleans()),
+        max_size=4), max_size=3),
+    st.sampled_from(["terms", "terms", "term"]),
+    st.sampled_from([None, None, -1, 5, 20]))
+_flags = st.lists(st.one_of(
+    st.tuples(st.just("--dim"), st.integers(-1, 9).map(str)),
+    st.tuples(st.just("--lambda0"), st.sampled_from(["symbolic", "sym", "1/3", "0", "1/2",
+                                                       "x", "1/0"])),
+    st.tuples(st.just("--volume"), st.sampled_from(["coordinate", "generic", "bad"])),
+    st.tuples(st.just("--params"), st.sampled_from(["k1=2,b", "b=1/3,c2=1", "d1=sym",
+                                                      "L=2", "c01=1", "D1", "xi=1", "x y",
+                                                      "k1=1/0", ",,"])),
+    st.tuples(st.just("--json")),
+), max_size=3).map(lambda groups: [f for g in groups for f in g])
+_COMMAND_NAMES = sorted(cli._COMMANDS) + ["bogus"]
+_CHOICES = {"lift": sorted(cli._LIFTS) + ["bogus"], "check": sorted(cli._CHECKS) + ["bogus"]}
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(_COMMAND_NAMES))
+    argv = draw(_flags) + [command]
+    if command in _CHOICES:
+        argv.append(draw(st.sampled_from(_CHOICES[command])))
+    texts = st.one_of(_expressions, _expressions, _json_texts)
+    argv += draw(st.lists(texts, min_size=0 if command == "check" else 1, max_size=3))
+    argv += draw(_flags)
+    return [a for a in argv if a != "-"]   # '-' reads stdin
+
+
+_MESSAGE = re.compile(r"(syntax error|flag error|error|denslift( \w+)?: error): ")
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argvs())
+def test_main_never_ends_in_a_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # argparse: 2 on a usage error
+            code = exc.code
+    err = err.getvalue()
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err, argv
+    if code and err:
+        lines = err.splitlines()
+        assert _MESSAGE.match(lines[-1]), (argv, err)
+        assert len(lines) == 1 or lines[-1].startswith("denslift"), (argv, err)
+    elif code:   # a failed check suite prints its verdict
+        assert code == 1 and out.getvalue().startswith("FAIL "), argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_json_texts, _expressions), st.integers(1, 8))
+def test_the_json_reader_raises_only_its_own_errors(text, dim):
+    try:
+        got = operator_from_json(text, cfg(dim=dim))
+    except DensliftError:
+        return
+    assert isinstance(got, DensityOperator)

@@ -23,6 +23,7 @@ from denslift.lifting import (
     distinguished_coefficients,
     distinguished_lift,
     extract_geometric_data,
+    family_polynomials,
     first_order_lift,
     is_regular_pair,
     is_strict_pair,
@@ -35,7 +36,7 @@ from denslift.lifting import (
     vol_lift,
 )
 from denslift.operators import DensityOperator, generic_second_order, lie_operator
-from denslift.scalars import HALF, Scalar
+from denslift.scalars import HALF, ZERO, Scalar
 
 from helpers import random_operator, weight_free_of_order
 
@@ -444,6 +445,24 @@ def test_selfadjoint_family_closed_form():
                         lifted = lifted + vanishing @ canonical_lift(even, HALF, rho)
                     got = selfadjoint_family(delta, w, rho, evens)
                     assert got == apply_family(polys, lifted), (n, dim, rho, w)
+
+
+def test_the_canonical_family_returns_the_lift_without_composing(monkeypatch):
+    # (A, B, C, D) = (1, 0, 0, 0): Horner's rule composes nothing while its value
+    # is zero, and A = 1 applies as the lift itself
+    rng = random.Random(71)
+    lifts = [canonical_lift(weight_free_of_order(rng, dim, n), w, GEN)
+             for dim, n in ((1, 2), (2, 3)) for w in (l0, Scalar.of(Fraction(2, 5)))]
+    composes = []
+    compose = DensityOperator.compose
+    monkeypatch.setattr(DensityOperator, "compose",
+                        lambda a, b: composes.append((a, b)) or compose(a, b))
+    for lifted in lifts:
+        for n in (1, 3):
+            assert apply_family(family_polynomials(lifted.dim, l0, n, ZERO), lifted) == lifted
+    assert not composes
+    b = Scalar.param("b")
+    assert apply_family(family_polynomials(1, l0, 2, b), lifts[0]) != lifts[0] and composes
 
 
 def test_selfadjoint_family_second_order_with_function():
