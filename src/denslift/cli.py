@@ -647,6 +647,15 @@ _COMMANDS = {
 }
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse with one-line errors: an argument it echoes prints with its
+    control characters and line breaks escaped."""
+
+    def error(self, message):
+        super().error(re.sub("[\x00-\x1f\x7f-\x9f\u2028\u2029]",
+                             lambda m: repr(m[0])[1:-1], message))
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     # SUPPRESS keeps subparser defaults from clobbering values already parsed
@@ -661,7 +670,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated name=value bindings (value 'sym' keeps it formal)")
     common.add_argument("--json", action="store_true", help="emit JSON")
 
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="denslift", parents=[common],
         description="Exact operator calculus on the algebra of densities.")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -53,6 +53,12 @@ def mono_mul(a, b):
         return b
     if not b:
         return a
+    if a[-1][0] < b[0][0]:   # disjoint runs concatenate
+        return a + b
+    if b[-1][0] < a[0][0]:
+        return b + a
+    if len(a) == 1 == len(b):   # neither run precedes: the same factor
+        return ((a[0][0], a[0][1] + b[0][1]),)
     out = dict(a)
     for factor, exp in b:
         out[factor] = out.get(factor, 0) + exp
@@ -68,8 +74,7 @@ def collect_products(targets, left, right):
             m = mono_mul(m1, m2)
             for i, a1 in row:
                 t = targets[i]
-                prev = t.get(m)
-                t[m] = a1 * a2 if prev is None else prev + a1 * a2
+                t[m] = _madd(t.get(m), a1, a2)
     return targets
 
 
@@ -445,12 +450,15 @@ def _common(a: "Scalar", b: "Scalar"):
             _embed(b._n, vb, names), _embed(b._d, vb, names))
 
 
-def _plus(a: "Scalar", b: "Scalar") -> "Scalar":
-    p1, q1, p2, q2 = a._p, a._q, b._p, b._q
-    if not p1:
-        return b
+def _plus(a: "Scalar", b: "Scalar", p2: int, q2: int) -> "Scalar":
+    """a plus b with its content replaced by p2/q2 (q2 > 0, not necessarily in
+    lowest terms), so that a product by a rational is summed unbuilt."""
+    p1, q1 = a._p, a._q
     if not p2:
         return a
+    if not p1:
+        h = gcd(p2, q2)
+        return Scalar(b._vars, p2 // h, q2 // h, b._n, b._d)
     # a + b = (x1 n1/d1 + x2 n2/d2) / l over the contents' common denominator l
     g = gcd(q1, q2)
     x1, x2, l = p1 * (q2 // g), p2 * (q1 // g), q1 // g * q2
@@ -490,6 +498,20 @@ def _plus(a: "Scalar", b: "Scalar") -> "Scalar":
             d = _mul(d, g, k)
     m = _icont(u, k) if _lc(u, k) > 0 else -_icont(u, k)
     return _finish(names, m, l, _iquo(u, m, k), d)
+
+
+def _madd(s, a1: "Scalar", a2: "Scalar") -> "Scalar":
+    """s + a1 * a2, or a1 * a2 when s is None.  With a rational factor no
+    product Scalar is built: the other factor's fields enter _plus with the
+    product of the contents."""
+    if s is None:
+        return _times(a1, a2)
+    if not a1._vars:
+        return _plus(s, a2, a1._p * a2._p, a1._q * a2._q)
+    if not a2._vars:
+        return _plus(s, a1, a1._p * a2._p, a1._q * a2._q)
+    t = _times(a1, a2)
+    return _plus(s, t, t._p, t._q)
 
 
 def _times(a: "Scalar", b: "Scalar") -> "Scalar":
@@ -598,7 +620,7 @@ class Scalar:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = Scalar.of(other)
-        return _plus(self, other)
+        return _plus(self, other, other._p, other._q)
 
     __radd__ = __add__
 

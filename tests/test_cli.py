@@ -669,7 +669,7 @@ def test_symbol_times_a_scalar_on_the_right(capsys):
 # (D1 ... D8)^3 product stays out of reach.
 _SOUP = ["D1", "D2", "D3", "D9", "L", "xi", "xi1", "xi2", "f", "g", "S", "T[1]", "a_,1",
          "l0", "k1", "b", "c1", "0", "1", "2", "1/2", "3/0", "(", ")", "[", "]", ",", "_",
-         "+", "-", "*", "/", "^", " ", "@", "{", "}", '"', ":", "\t"]
+         "+", "-", "*", "/", "^", " ", "@", "{", "}", '"', ":", "\t", "\n"]
 _expressions = st.lists(st.sampled_from(_SOUP), max_size=6).map(" ".join)
 _json_texts = st.builds(
     lambda terms, top, cut: json.dumps({top: terms})[:cut],

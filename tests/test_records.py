@@ -110,14 +110,15 @@ def test_records_are_named_tuples_of_their_fields(name):
 
 
 def test_importing_every_module_loads_no_dataclass_machinery():
-    # a fresh interpreter without site, so only denslift's own imports count
+    # a fresh interpreter without site, so only denslift's own imports count;
+    # -B, as -I ignores PYTHONDONTWRITEBYTECODE, keeps bytecode out of the package
     package = Path(denslift.__file__).parent
     modules = sorted(f"denslift.{f.stem}" for f in package.glob("*.py") if f.stem != "__init__")
     code = (f"import sys; sys.path.insert(0, {str(package.parent)!r})\n"
             f"import {', '.join(modules)}\n"
             "print(' '.join(m for m in ('dataclasses', 'inspect', 'ast', 'dis') "
             "if m in sys.modules))")
-    done = subprocess.run([sys.executable, "-I", "-S", "-c", code],
+    done = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code],
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert {"denslift.cli", "denslift.equivariance"} <= set(modules)

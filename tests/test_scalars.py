@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from denslift.errors import ZeroDenominatorError
-from denslift.jets import DiffPolynomial
+from denslift.jets import DiffPolynomial, JetSymbol
 from denslift.scalars import Scalar
 from helpers import load_tracing
 
@@ -251,3 +251,88 @@ def test_collect_products_accumulates_into_each_target():
     zero = collect_products([{}], {x: [(0, 7 * l0)], (): [(0, -5 * l0)]}, right)[0]
     assert zero == {x: Scalar.of(0), x2: 49 * l0, (): -25 * l0}
     assert x in zero and zero[x].is_zero()
+
+
+# -- the multiply-add and mono_mul against the routes they replace ----------------
+
+
+def fields(s: Scalar):
+    return s._vars, s._p, s._q, s._n, s._d
+
+
+@st.composite
+def madd_operands(draw):
+    """A rational; a polynomial in l0 or in k1; a rational function of l0 over
+    a denominator like 2 l0 - 1; or a Scalar in both l0 and k1."""
+    kind = draw(st.sampled_from(["rational", "l0", "k1", "ratfunc", "two"]))
+    content = Scalar.of(draw(rationals))
+
+    def poly(x):
+        return sum((Scalar.of(draw(st.integers(-4, 4))) * x ** i
+                    for i in range(draw(st.integers(1, 4)))), Scalar.of(0))
+
+    if kind == "rational":
+        return content
+    if kind in ("l0", "k1"):
+        return content * poly(l0 if kind == "l0" else k1)
+    if kind == "ratfunc":
+        return content * poly(l0) / draw(st.sampled_from([2 * l0 - 1, l0 + 1, l0 * l0 - 2, l0]))
+    return content * (poly(l0) + poly(k1) * l0) / draw(st.sampled_from([1, 2 * l0 - 1, k1 + l0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["empty", "zero", "cancel", "drawn"]),
+       madd_operands(), madd_operands(), madd_operands())
+def test_multiply_add_matches_the_scalar_route(slot, a, b, drawn):
+    from denslift.scalars import _madd, collect_products
+
+    s = {"empty": None, "zero": Scalar.of(0), "cancel": -(b * a), "drawn": drawn}[slot]
+    want = a * b if s is None else s + a * b
+    assert fields(_madd(s, a, b)) == fields(want)
+    # through the kernel: a sum that cancels stays in the target as zero
+    target = collect_products([{} if s is None else {(): s}], {(): [(0, a)]}, [((), b)])[0]
+    assert list(target) == [()] and fields(target[()]) == fields(want)
+    if slot == "cancel":
+        assert target[()].is_zero()
+
+
+_FACTORS = [JetSymbol(base, upper, lower) for base, upper, lower in [
+    ("a", (), ()), ("a", (), (1,)), ("a", (), (1, 2)), ("b", (1,), ()), ("b", (2,), (1,)),
+    ("f", (), ()), ("g", (), (2,)), ("w", (), ())]]
+
+
+def _mono(factors, draw):
+    return tuple((f, draw(st.integers(1, 3))) for f in sorted(factors))
+
+
+@st.composite
+def monomial_pairs(draw):
+    """Two sorted jet monomials of length 0..4: sharing factors, single
+    factors (equal or not), or disjoint runs in either order."""
+    shape = draw(st.sampled_from(["any", "single", "disjoint"]))
+    if shape == "single":
+        a, b = draw(st.sampled_from(_FACTORS)), draw(st.sampled_from(_FACTORS))
+        return _mono([a], draw), _mono([b], draw)
+    pool = list(_FACTORS)
+    if shape == "disjoint":
+        cut = draw(st.integers(0, len(pool)))
+        pool, other = pool[:cut], pool[cut:]
+    else:
+        other = pool
+    a = draw(st.lists(st.sampled_from(pool), max_size=4, unique=True)) if pool else []
+    b = draw(st.lists(st.sampled_from(other), max_size=4, unique=True)) if other else []
+    pair = (_mono(a, draw), _mono(b, draw))
+    return pair[::-1] if draw(st.booleans()) else pair
+
+
+@settings(max_examples=300, deadline=None)
+@given(monomial_pairs())
+def test_mono_mul_matches_a_dict_and_sort_reference(pair):
+    from denslift.scalars import mono_mul
+
+    a, b = pair
+    out = dict(a)
+    for factor, exp in b:
+        out[factor] = out.get(factor, 0) + exp
+    assert mono_mul(a, b) == tuple(sorted(out.items()))
+    assert mono_mul(b, a) == tuple(sorted(out.items()))
