@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from denslift import cli
 from denslift.cli import (
@@ -711,6 +711,8 @@ _MESSAGE = re.compile(r"(syntax error|flag error|error|denslift( \w+)?: error): 
 
 @settings(max_examples=150, deadline=None)
 @given(_argvs())
+@example(["adjoint", "", "\n"])   # argparse echoes an unrecognized argument
+@example(["--dim", "2", "compose", "a", "b", "\x1b[0m\r", "\u2028"])
 def test_main_never_ends_in_a_traceback(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
