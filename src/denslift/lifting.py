@@ -37,13 +37,11 @@ from .scalars import HALF, ONE, Scalar, ZERO, collect
 REGISTRY.ensure("ell")
 
 
-class VolumeForm:
-    """Volume structure through the jet of log rho; Gamma_i = -d_i(log rho)."""
+class VolumeForm(NamedTuple):
+    """Volume structure through the jet of log rho; Gamma_i = -d_i(log rho).
+    ``ell`` names that jet, None for the coordinate volume."""
 
-    __slots__ = ("ell",)
-
-    def __init__(self, ell: Optional[str]):
-        self.ell = ell
+    ell: Optional[str] = None
 
     @staticmethod
     def coordinate() -> "VolumeForm":
@@ -61,9 +59,6 @@ class VolumeForm:
         if self.ell is None:
             return DiffPolynomial.zero()
         return -DiffPolynomial.jet(self.ell, (), (axis,))
-
-    def __repr__(self):
-        return "VolumeForm(coordinate)" if self.ell is None else f"VolumeForm(log={self.ell})"
 
 
 class VolLiftParams(NamedTuple("VolLiftParams", [("b", Scalar), ("c", Tuple[Scalar, ...]),

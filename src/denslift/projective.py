@@ -117,9 +117,7 @@ def symbol_coeff(n: int, k: int, lam, dim: int) -> Scalar:
     falling = Scalar.of(1)
     for j in range(k):
         falling = falling * (arg - j)
-    gen_binom = falling * Fraction(1, factorial(k))
-    return (Scalar.of((-1) ** k) * comb(n, k) * gen_binom
-            * (ONE / Scalar.of(comb(2 * n - k + dim, k))))
+    return falling * Fraction((-1) ** k * comb(n, k), factorial(k) * comb(2 * n - k + dim, k))
 
 
 def full_symbol(op: DensityOperator, lam) -> SymbolPoly:

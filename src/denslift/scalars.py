@@ -57,8 +57,6 @@ def mono_mul(a, b):
         return a + b
     if b[-1][0] < a[0][0]:
         return b + a
-    if len(a) == 1 == len(b):   # neither run precedes: the same factor
-        return ((a[0][0], a[0][1] + b[0][1]),)
     out = dict(a)
     for factor, exp in b:
         out[factor] = out.get(factor, 0) + exp
@@ -135,6 +133,12 @@ def _iquo(p, m: int, k: int):
     if k == 1:
         return tuple([x // m for x in p])
     return tuple([_iquo(x, m, k - 1) for x in p])
+
+
+def _content(p, k: int) -> int:
+    """The content of p with the sign of its leading coefficient."""
+    c = _icont(p, k)
+    return c if _lc(p, k) > 0 else -c
 
 
 def _icont(p, k: int) -> int:
@@ -249,15 +253,6 @@ def _coeff_gcd(p, k: int):
     return g
 
 
-def _primitive(p, c, k: int):
-    """p over its content c in the first variable."""
-    if k == 1:
-        return _iquo(p, c, 1)
-    if c == _one(k - 1):
-        return p
-    return tuple([_divexact(x, c, k - 1) for x in p])
-
-
 def _gcd(a, b, k: int):
     """Greatest common divisor in Z[x1..xk], with a positive leading coefficient."""
     if not k:
@@ -269,7 +264,7 @@ def _gcd(a, b, k: int):
     c = _gcd(ca, cb, k - 1)
     if len(a) == 1 or len(b) == 1:
         return (c,)
-    a, b = _primitive(a, ca, k), _primitive(b, cb, k)
+    a, b = _divexact(a, (ca,), k), _divexact(b, (cb,), k)
     if len(a) < len(b):
         a, b = b, a
     while True:
@@ -279,7 +274,7 @@ def _gcd(a, b, k: int):
         if len(r) == 1:
             b = _one(k)
             break
-        a, b = b, _primitive(r, _coeff_gcd(r, k), k)
+        a, b = b, _divexact(r, (_coeff_gcd(r, k),), k)
     if _lc(b, k) < 0:
         b = _scale(b, -1, k)
     return b if c == _one(k - 1) else tuple([_mul(c, x, k - 1) for x in b])
@@ -433,8 +428,7 @@ def _make(names, p: int, q: int, n, d) -> "Scalar":
     and d with a positive leading coefficient."""
     k = len(names)
     n, d = _cancel(n, d, k)
-    m = _icont(n, k) if _lc(n, k) > 0 else -_icont(n, k)
-    e = _icont(d, k) if _lc(d, k) > 0 else -_icont(d, k)
+    m, e = _content(n, k), _content(d, k)
     p, q = p * m, q * e
     return _finish(names, p, q, _iquo(n, m, k), _iquo(d, e, k))
 
@@ -496,7 +490,7 @@ def _plus(a: "Scalar", b: "Scalar", p2: int, q2: int) -> "Scalar":
         if g is not None:
             u, g = _cancel(u, g, k)
             d = _mul(d, g, k)
-    m = _icont(u, k) if _lc(u, k) > 0 else -_icont(u, k)
+    m = _content(u, k)
     return _finish(names, m, l, _iquo(u, m, k), d)
 
 
@@ -532,6 +526,12 @@ def _times(a: "Scalar", b: "Scalar") -> "Scalar":
     n1, d2 = _cancel(n1, d2, k)
     n2, d1 = _cancel(n2, d1, k)
     return _finish(names, p, q, _mul(n1, n2, k), _mul(d1, d2, k))
+
+
+def _operand(x):
+    """An int or Fraction as a Scalar; None for any other type, for which the
+    calling dunder returns NotImplemented."""
+    return Scalar.of(x) if isinstance(x, (int, Fraction)) else None
 
 
 def _inverse(s: "Scalar") -> "Scalar":
@@ -616,11 +616,8 @@ class Scalar:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other) -> "Scalar":
-        if not isinstance(other, Scalar):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = Scalar.of(other)
-        return _plus(self, other, other._p, other._q)
+        o = other if type(other) is Scalar else _operand(other)
+        return NotImplemented if o is None else _plus(self, o, o._p, o._q)
 
     __radd__ = __add__
 
@@ -628,35 +625,26 @@ class Scalar:
         return Scalar(self._vars, -self._p, self._q, self._n, self._d)
 
     def __sub__(self, other) -> "Scalar":
-        if not isinstance(other, (int, Fraction, Scalar)):
-            return NotImplemented
-        return self + (-Scalar.of(other))
+        o = other if type(other) is Scalar else _operand(other)
+        return NotImplemented if o is None else _plus(self, o, -o._p, o._q)
 
     def __rsub__(self, other) -> "Scalar":
-        if not isinstance(other, (int, Fraction, Scalar)):
-            return NotImplemented
-        return Scalar.of(other) + (-self)
+        o = other if type(other) is Scalar else _operand(other)
+        return NotImplemented if o is None else _plus(o, self, -self._p, self._q)
 
     def __mul__(self, other) -> "Scalar":
-        if not isinstance(other, Scalar):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = Scalar.of(other)
-        return _times(self, other)
+        o = other if type(other) is Scalar else _operand(other)
+        return NotImplemented if o is None else _times(self, o)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Scalar":
-        if not isinstance(other, Scalar):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = Scalar.of(other)
-        return _times(self, _inverse(other))
+        o = other if type(other) is Scalar else _operand(other)
+        return NotImplemented if o is None else _times(self, _inverse(o))
 
     def __rtruediv__(self, other) -> "Scalar":
-        if not isinstance(other, (int, Fraction, Scalar)):
-            return NotImplemented
-        return Scalar.of(other) / self
+        o = other if type(other) is Scalar else _operand(other)
+        return NotImplemented if o is None else _times(o, _inverse(self))
 
     def __pow__(self, n: int) -> "Scalar":
         if n < 0:
@@ -671,15 +659,11 @@ class Scalar:
         return Scalar.of(1) if out is None else out
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, Scalar):
-            return (self._p == other._p and self._q == other._q and self._n == other._n
-                    and self._d == other._d and self._vars == other._vars)
-        if isinstance(other, int):
-            return not self._vars and self._q == 1 and self._p == other
-        if isinstance(other, Fraction):
-            return (not self._vars and self._p == other.numerator
-                    and self._q == other.denominator)
-        return NotImplemented
+        o = other if type(other) is Scalar else _operand(other)
+        if o is None:
+            return NotImplemented
+        return (self._p == o._p and self._q == o._q and self._n == o._n
+                and self._d == o._d and self._vars == o._vars)
 
     def __hash__(self):
         # equal to the hash of the int or Fraction a rational scalar equals
@@ -691,25 +675,25 @@ class Scalar:
 
     def substitute(self, bindings: Mapping[str, "Scalar"]) -> "Scalar":
         """Substitute parameters; raises ZeroDenominatorError when the
-        denominator vanishes identically under the binding."""
+        denominator vanishes identically under the binding.  A name bound to
+        None, or not at all, stays a parameter."""
+        names = self._vars
+        values = [bindings.get(v) for v in names]
+        values = [Scalar.param(v) if x is None else x for v, x in zip(names, values)]
 
-        def eval_poly(p) -> "Scalar":
-            total = Scalar.of(0)
-            for m, c in p.items():
-                term = Scalar.of(c)
-                for name, exp in m:
-                    base = bindings.get(name)
-                    if base is None:
-                        base = Scalar.param(name)
-                    term = term * base ** exp
-                total = total + term
-            return total
+        def horner(p, i: int) -> "Scalar":
+            if i == len(names):
+                return Scalar.of(p)
+            out = ZERO
+            for c in reversed(p):
+                out = out * values[i] + horner(c, i + 1)
+            return out
 
-        den = eval_poly(self.den)
+        den = horner(self._d, 0)
         if den.is_zero():
             raise ZeroDenominatorError(
                 f"substitution makes denominator {_pstr(self.den)} vanish")
-        return eval_poly(self.num) / den
+        return horner(self._n, 0) * Fraction(self._p, self._q) / den
 
     def coefficients_in(self, name: str) -> Dict[int, "Scalar"]:
         """Coefficients of self as a polynomial in the parameter ``name``.

@@ -35,14 +35,15 @@ RECORDS = {
                       lambda: VolLiftParams.of(1, [2, Fraction(1, 3)], [0, l0])),
     "DiffeoJet1D": (("y1", "w", "pairs"), DiffeoJet1D.generic),
     "SessionConfig": (("dim", "lambda0", "volume", "json_output", "params"),
-                      lambda: SessionConfig(2, Scalar.of(Fraction(1, 3)), COORD, True,
-                                            {"k1": Scalar.of(2)})),
+                      lambda: SessionConfig(2, Scalar.of(Fraction(1, 3)), VolumeForm.generic(),
+                                            True, {"k1": Scalar.of(2)})),
     "_Verdict": (("name", "ok", "message"),
                  lambda: _Verdict("sa", True, "3/3 cases")),
     "LiftingHandle": (("kind", "l0", "lift", "params"),
                       lambda: LiftingHandle("canonical", l0, _lift)),
     "DivFreeField": (("dim", "components"), lambda: generic_divfree_field(2)),
     "DivFreeTensor": (("dim", "rank", "constrained"), lambda: DivFreeTensor(3, 2, False)),
+    "VolumeForm": (("ell",), VolumeForm.generic),
 }
 
 
@@ -80,7 +81,7 @@ def test_record_defaults():
     cfg = SessionConfig()
     assert cfg.dim == 1
     assert cfg.lambda0 == Scalar.param("l0")
-    assert cfg.volume.is_coordinate
+    assert cfg.volume.is_coordinate and cfg.volume == VolumeForm() == COORD
     assert cfg.json_output is False
     assert dict(cfg.params) == {} and cfg.param_names() == set(DEFAULT_PARAMS)
 

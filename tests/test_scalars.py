@@ -337,3 +337,119 @@ def test_mono_mul_matches_a_dict_and_sort_reference(pair):
         out[factor] = out.get(factor, 0) + exp
     assert mono_mul(a, b) == tuple(sorted(out.items()))
     assert mono_mul(b, a) == tuple(sorted(out.items()))
+
+
+# -- the operand protocol and substitution against the routes they replace -------
+
+
+@settings(max_examples=300, deadline=None)
+@given(madd_operands(), madd_operands(), st.one_of(st.integers(-9, 9), rationals))
+def test_operators_match_the_negate_and_inverse_route(a, b, n):
+    from denslift.scalars import _inverse, _times
+
+    s = Scalar.of(n)
+    assert fields(a - b) == fields(a + (-b))
+    assert fields(a - n) == fields(a + (-s))
+    assert fields(n - a) == fields(s + (-a))
+    assert fields(a * n) == fields(n * a) == fields(a * s)
+    if n:
+        assert fields(a / n) == fields(_times(a, _inverse(s)))
+    if a.is_zero():
+        with pytest.raises(ZeroDenominatorError):
+            n / a
+    else:
+        assert fields(n / a) == fields(_times(s, _inverse(a)))
+    assert (a == n) == (n == a) == (fields(a) == fields(s))
+    if not a._vars and not b._vars:
+        x, y = a.as_fraction(), b.as_fraction()
+        assert a == x and x == a and (a == n) == (x == n)
+        assert fields(a - b) == fields(Scalar.of(x - y))
+        assert fields(n - a) == fields(Scalar.of(n - x))
+        if x:
+            assert fields(n / a) == fields(Scalar.of(Fraction(n) / x))
+    for foreign in (None, "1", 1.5):
+        for op in (lambda u, v: u + v, lambda u, v: u - v, lambda u, v: u * v,
+                   lambda u, v: u / v):
+            with pytest.raises(TypeError):
+                op(a, foreign)
+            with pytest.raises(TypeError):
+                op(foreign, a)
+        assert (a == foreign) is False and a != foreign
+
+
+def substitute_reference(s: Scalar, bindings):
+    """s under ``bindings``, evaluated over the ``num`` and ``den`` views
+    monomial by monomial; None when the denominator vanishes."""
+
+    def value(p):
+        total = Scalar.of(0)
+        for m, c in p.items():
+            term = Scalar.of(c)
+            for name, exp in m:
+                base = bindings.get(name)
+                term = term * (Scalar.param(name) if base is None else base) ** exp
+            total = total + term
+        return total
+
+    den = value(s.den)
+    return None if den.is_zero() else value(s.num) / den
+
+
+@st.composite
+def substitutions(draw):
+    """A Scalar in one to three parameters, some of whose denominators vanish
+    at a drawn root, and bindings of a part of its names to Scalars, ints,
+    Fractions, int 0, the zero Scalar or None."""
+    names = draw(st.lists(st.sampled_from(["a1", "k1", "l0"]), min_size=1, max_size=3,
+                          unique=True))
+    xs = [Scalar.param(v) for v in names]
+
+    def poly():
+        total = Scalar.of(draw(rationals))
+        for _ in range(draw(st.integers(1, 3))):
+            term = Scalar.of(draw(st.integers(-4, 4)))
+            for x in xs:
+                term = term * x ** draw(st.integers(0, 2))
+            total = total + term
+        return total
+
+    num, den = poly(), poly()
+    root = draw(rationals)
+    if draw(st.booleans()):
+        den = den * (xs[0] - root)
+    value = num / den if not den.is_zero() else num
+    kinds = {"none": lambda: None, "scalar": lambda: Scalar.of(draw(rationals)),
+             "int": lambda: draw(st.integers(-5, 5)), "fraction": lambda: draw(rationals),
+             "zero": lambda: 0, "ZERO": lambda: Scalar.of(0), "root": lambda: root,
+             "affine": lambda: (draw(rationals) * Scalar.param(draw(st.sampled_from(names)))
+                                + draw(st.integers(-3, 3)))}
+    bindings = {}
+    for v in names:
+        kind = draw(st.sampled_from(["free", *kinds]))
+        if kind != "free":
+            bindings[v] = kinds[kind]()
+    return value, bindings
+
+
+@settings(max_examples=200, deadline=None)
+@given(substitutions())
+def test_substitute_matches_a_monomial_reference(drawn):
+    value, bindings = drawn
+    want = substitute_reference(value, bindings)
+    if want is None:
+        with pytest.raises(ZeroDenominatorError, match="^substitution makes denominator .+ vanish$"):
+            value.substitute(bindings)
+    else:
+        assert fields(value.substitute(bindings)) == fields(want)
+
+
+def test_substitute_binding_words_and_types():
+    s = (l0 + k1) / ((2 * l0 - 1) * k1 * 3)
+    text = "^substitution makes denominator -1/2\\*k1 \\+ k1\\*l0 vanish$"
+    for bindings in ({"l0": Fraction(1, 2)}, {"k1": 0, "l0": None}, {"k1": Scalar.of(0)}):
+        with pytest.raises(ZeroDenominatorError, match=text):
+            s.substitute(bindings)
+    assert s.substitute({"k1": 2, "l0": None}) == (2 + l0) / (12 * l0 - 6)
+    assert s.substitute({}) == s.substitute({"b": 1}) == s
+    with pytest.raises(TypeError):
+        s.substitute({"k1": 1.5})
