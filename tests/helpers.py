@@ -64,10 +64,10 @@ def generic_third_order(dim: int) -> DensityOperator:
                DensityOperator.zero(dim))
 
 
-def load_tracing():
-    """perfbench/tracing.py, loaded from its file: perfbench is not a package."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+def load_perfbench(name: str):
+    """perfbench/<name>.py, loaded from its file: perfbench is not a package."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from denslift.errors import ZeroDenominatorError
 from denslift.jets import DiffPolynomial, JetSymbol
 from denslift.scalars import Scalar
-from helpers import load_tracing
+from helpers import load_perfbench
 
 l0 = Scalar.param("l0")
 b = Scalar.param("b")
@@ -227,7 +227,7 @@ def test_hash_agrees_with_equality_across_routes():
 
 
 def test_tracer_classifies_denominators_through_the_den_view():
-    is_const_den = load_tracing()._is_const_den
+    is_const_den = load_perfbench("tracing")._is_const_den
     for value, other, _, den in ROUTES:
         assert is_const_den(value.den) == (den == {(): 1}), value
     for s in (Scalar.of(3), l0 * k1 * L_ + 1, (l0 * l0 - 1) / (l0 - 1)):

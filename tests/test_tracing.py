@@ -4,7 +4,7 @@ import argparse
 
 from denslift import cli, equivariance, jets, lifting, linalg, operators, projective, scalars
 import denslift
-from helpers import load_tracing
+from helpers import load_perfbench
 
 MODULES = [denslift, scalars, jets, operators, lifting, equivariance, projective, linalg, cli]
 CLASSES = [scalars.Scalar, jets.DiffPolynomial, operators.DensityOperator,
@@ -19,7 +19,7 @@ def _snapshot():
 
 def test_tracer_wraps_engine_names_and_restores_them():
     before = _snapshot()
-    tracer = load_tracing().Tracer()
+    tracer = load_perfbench("tracing").Tracer()
     try:
         tracer.install()   # raises when a name it wraps is gone from the engine
         compose = operators.DensityOperator.__dict__["compose"]
