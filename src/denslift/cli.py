@@ -4,9 +4,11 @@ Operators are written as sums of juxtaposed atoms, where juxtaposition (and
 '*') is noncommutative composition: ``D1 f`` is the operator d/dx composed
 with multiplication by f.  Atoms are rational literals, declared parameters,
 jet symbols like ``S[1,2]`` with repeatable derivative suffixes ``_,i``, the
-generators ``D1..Dd``, the weight generator ``L``, and parenthesized
-subexpressions.  Symbol expressions use ``xi`` / ``xi1..xid`` in place of
-``D1..Dd`` and ``L``; each grammar rejects the other's generators.
+coordinates ``x[i]``, the generators ``D1..Dd``, the weight generator ``L``,
+and parenthesized subexpressions.  The other names with a derivative rule
+(``u``, ``q``, ``w``, and ``x`` without exactly one index) are reserved.
+Symbol expressions use ``xi`` / ``xi1..xid`` in place of ``D1..Dd`` and
+``L``; each grammar rejects the other's generators.
 
 Exit codes: 0 on success, 1 on domain errors, 2 on syntax or flag errors.
 """
@@ -24,7 +26,7 @@ from types import MappingProxyType
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from .errors import DensliftError, FlagError, IndexRangeError, ParseError, SchemaError
-from .jets import DiffPolynomial
+from .jets import REGISTRY, DiffPolynomial
 from .lifting import (
     VolLiftParams,
     VolumeForm,
@@ -297,8 +299,10 @@ class _Parser:
             scalar = bound if bound is not None else Scalar.param(val)
             return self._const(scalar)
         upper = self._indices_if_any()
-        poly = DiffPolynomial.jet(val, upper)
-        return self._const(poly)
+        if REGISTRY.rule_for(val) and not (val == "x" and len(upper) == 1):
+            raise ParseError(f"reserved jet name {val}: of the ruled jets only a coordinate "
+                             "x[i] can be written", off)
+        return self._const(DiffPolynomial.jet(val, upper))
 
     def _indices_if_any(self):
         kind, val, _ = self.peek()
@@ -399,17 +403,14 @@ def _read_operator(arg: str, cfg: SessionConfig) -> DensityOperator:
     return parse_operator(_read(arg), cfg)
 
 
-def _rational_flag(flag: str, value: str) -> Scalar:
+def _scalar_flag(flag: str, name: str, value: str) -> Scalar:
+    """'sym' or 'symbolic' as the parameter ``name``, else an exact rational."""
+    if value in ("sym", "symbolic"):
+        return Scalar.param(name)
     try:
         return Scalar.of(Fraction(value))
     except (ValueError, ZeroDivisionError):
         raise FlagError(f"{flag} expects an exact rational or 'symbolic', got {value!r}") from None
-
-
-def _lambda0(spec: str) -> Scalar:
-    if spec in ("symbolic", "sym"):
-        return Scalar.param("l0")
-    return _rational_flag("--lambda0", spec)
 
 
 def _param_name(name: str) -> str:
@@ -429,16 +430,9 @@ def _parse_params(spec: Optional[str]) -> Dict[str, Scalar]:
         chunk = chunk.strip()
         if not chunk:
             continue
-        if "=" not in chunk:
-            out[_param_name(chunk)] = Scalar.param(chunk)
-            continue
-        name, value = chunk.split("=", 1)
+        name, _, value = (chunk if "=" in chunk else chunk + "=sym").partition("=")
         name = _param_name(name.strip())
-        value = value.strip()
-        if value in ("sym", "symbolic"):
-            out[name] = Scalar.param(name)
-        else:
-            out[name] = _rational_flag(f"--params {name}", value)
+        out[name] = _scalar_flag(f"--params {name}", name, value.strip())
     return out
 
 
@@ -692,7 +686,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             raise FlagError("stdin can be read once: give '-' for one argument at most")
         cfg = SessionConfig(
             dim=dim,
-            lambda0=_lambda0(getattr(args, "lambda0", "symbolic")),
+            lambda0=_scalar_flag("--lambda0", "l0", getattr(args, "lambda0", "symbolic")),
             volume=(VolumeForm.generic() if getattr(args, "volume", "coordinate") == "generic"
                     else VolumeForm.coordinate()),
             json_output=getattr(args, "json", False),

@@ -168,7 +168,10 @@ class DiffPolynomial:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other) -> "DiffPolynomial":
-        return DiffPolynomial(collect(_coerce(other).terms.items(), dict(self.terms)))
+        o = _coerce(other)
+        if o is None:
+            return NotImplemented
+        return DiffPolynomial(collect(o.terms.items(), dict(self.terms)))
 
     __radd__ = __add__
 
@@ -176,17 +179,22 @@ class DiffPolynomial:
         return DiffPolynomial({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "DiffPolynomial":
-        return self + (-_coerce(other))
+        o = _coerce(other)
+        return NotImplemented if o is None else self + (-o)
 
     def __rsub__(self, other) -> "DiffPolynomial":
-        return _coerce(other) + (-self)
+        o = _coerce(other)
+        return NotImplemented if o is None else o + (-self)
 
     def __mul__(self, other) -> "DiffPolynomial":
         if isinstance(other, (int, Fraction, Scalar)):   # no sum: scale each coefficient
             s = Scalar.of(other)
             return DiffPolynomial({} if s.is_zero() else {m: c * s for m, c in self.terms.items()})
+        o = _coerce(other)
+        if o is None:
+            return NotImplemented
         left = {m: [(0, c)] for m, c in self.terms.items()}
-        return DiffPolynomial(collect_products([{}], left, _coerce(other).terms.items())[0])
+        return DiffPolynomial(collect_products([{}], left, o.terms.items())[0])
 
     __rmul__ = __mul__
 
@@ -199,11 +207,8 @@ class DiffPolynomial:
         return out
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, Scalar)):
-            other = DiffPolynomial.const(other)
-        if not isinstance(other, DiffPolynomial):
-            return NotImplemented
-        return self.terms == other.terms
+        o = _coerce(other)
+        return NotImplemented if o is None else self.terms == o.terms
 
     def __hash__(self):
         # a constant hashes as the Scalar (and so the int or Fraction) it equals
@@ -299,9 +304,9 @@ def _mono_sort_key(m: JetMono):
     return (-sum(e for _, e in m), m)
 
 
-def _coerce(value) -> DiffPolynomial:
+def _coerce(value) -> Optional[DiffPolynomial]:
+    """A DiffPolynomial, or an int, Fraction or Scalar as a constant one; None
+    for any other type, for which the calling dunder returns NotImplemented."""
     if isinstance(value, DiffPolynomial):
         return value
-    if isinstance(value, (int, Fraction, Scalar)):
-        return DiffPolynomial.const(value)
-    raise TypeError(f"cannot coerce {type(value).__name__} to DiffPolynomial")
+    return DiffPolynomial.const(value) if isinstance(value, (int, Fraction, Scalar)) else None

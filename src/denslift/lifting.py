@@ -313,10 +313,9 @@ def selfadjoint_family(delta0: DensityOperator, l0, rho: VolumeForm,
     """All liftings of delta0 with adjoint = (-1)^n times themselves.
 
     Free data are the even Taylor coefficients E_k around weight 1/2; the odd
-    ones are forced.  In closed form, with P = canonical_lift(delta0) and
-    t = L - 1/2, the member is the distinguished map A(L) P + B(L) P* of
-    distinguished_coefficients applied to
-    P + sum_k t^(2k-2) (t^2 - t(l0)^2) canonical_lift(E_k, 1/2),
+    ones are forced.  With t = L - 1/2, the member is the distinguished map
+    A(L) Q + B(L) Q* = Q + (L - l0) (Q - (-1)^n Q*)/(2 l0 - 1) applied to
+    Q = canonical_lift(delta0) + sum_k t^(2k-2) (t^2 - t(l0)^2) canonical_lift(E_k, 1/2),
     each added pencil even in t and zero at l0.  With no even data it is the
     distinguished lift.
     """
@@ -324,27 +323,17 @@ def selfadjoint_family(delta0: DensityOperator, l0, rho: VolumeForm,
     l0 = Scalar.of(l0)
     _reject_weights(l0, HALF)
     n = 0 if delta0.is_zero() else delta0.total_order()   # zero has no free data
-    dim = delta0.dim
-    sign = Fraction((-1) ** n)
-    den = 2 * l0 - 1
-
-    evens = list(evens)
+    pencil = canonical_lift(delta0, l0, rho)
     for k, op in enumerate(evens, start=1):
         op.require_weight_free()
         if not op.is_zero() and op.x_order() > n - 2 * k:
             raise OrderViolationError(
                 f"even coefficient #{k} has order {op.x_order()} > {n - 2 * k}")
-
-    # Taylor coefficients around 1/2, from the first on: the base operator
-    # rebased to half-densities and the evens each force the odd one after them
-    lifted = canonical_lift(delta0, l0, rho)
-    chain = [lifted.restrict(HALF)] + evens + [DensityOperator.zero(dim)]
-    coeffs = []
-    for even, even_next in zip(chain, chain[1:]):
-        coeffs += [(even - sign * even.adjoint()) * (ONE / den)
-                   + (even_next + sign * even_next.adjoint()) * (den / 4), even_next]
-    inner = taylor_assemble(coeffs[:-1], HALF, rho)
-    return DensityOperator.lam_poly(dim, [lifted, inner], l0)
+        vanishing = [ZERO] * (2 * k - 2) + [-(l0 - HALF) ** 2, ZERO, ONE]
+        pencil = pencil + DensityOperator.lam_poly(pencil.dim, vanishing, HALF) @ canonical_lift(
+            op, HALF, rho)
+    odd = (pencil - Fraction((-1) ** n) * pencil.adjoint()) * (ONE / (2 * l0 - 1))
+    return DensityOperator.lam_poly(pencil.dim, [pencil, odd], l0)
 
 
 def limit_lift(delta: DensityOperator, rho: VolumeForm) -> DensityOperator:

@@ -109,6 +109,8 @@ class DensityOperator:
             raise DimensionMismatchError(f"dim {self.dim} vs {other.dim}")
 
     def __add__(self, other: "DensityOperator") -> "DensityOperator":
+        if not isinstance(other, DensityOperator):
+            return NotImplemented
         self._check_dim(other)
         return DensityOperator(self.dim, collect(other.terms.items(), dict(self.terms)))
 
@@ -120,6 +122,8 @@ class DensityOperator:
 
     def __mul__(self, factor) -> "DensityOperator":
         """Left multiplication by a coefficient function or scalar."""
+        if not isinstance(factor, (int, Fraction, Scalar, DiffPolynomial)):
+            return NotImplemented   # an operator or symbol is no coefficient
         return DensityOperator(self.dim, {k: c * factor for k, c in self.terms.items()})
 
     __rmul__ = __mul__

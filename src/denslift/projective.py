@@ -52,6 +52,8 @@ class SymbolPoly:
         return self.terms.get(tuple(sorted(beta)), DiffPolynomial.zero())
 
     def __add__(self, other: "SymbolPoly") -> "SymbolPoly":
+        if not isinstance(other, SymbolPoly):
+            return NotImplemented
         return SymbolPoly(self.dim, collect(other.terms.items(), dict(self.terms)))
 
     def __neg__(self) -> "SymbolPoly":
@@ -65,6 +67,8 @@ class SymbolPoly:
             return SymbolPoly(self.dim, collect(
                 (b1 + b2, c1 * c2) for b1, c1 in self.terms.items()
                 for b2, c2 in factor.terms.items()))
+        if isinstance(factor, DensityOperator):
+            return NotImplemented   # an operator is no coefficient
         return SymbolPoly(self.dim, {b: c * factor for b, c in self.terms.items()})
 
     __rmul__ = __mul__
@@ -185,27 +189,14 @@ def proj_generators(dim: int) -> List[List[DiffPolynomial]]:
     return gens
 
 
-# Formal weight at which proj_lift quantizes; the CLI grammar cannot name it.
+# Formal weight the projective liftings quantize at; the CLI grammar cannot name it.
 _WEIGHT = "_L"
 
 
 def proj_lift(delta: DensityOperator, l0) -> DensityOperator:
-    """Quantize the weight-l0 symbol at the formal weight generator.
-
-    The quantization is taken once at a reserved formal weight parameter;
-    its coefficients are polynomial in that parameter, and the coefficient of
-    its k-th power becomes the coefficient of L^k.
-    """
-    l0 = Scalar.of(l0)
-    if delta.is_zero():
-        return delta
-    quantized = quantize(full_symbol(delta, l0), Scalar.param(_WEIGHT))
-    split: Dict[Tuple[int, Tuple[int, ...]], Dict] = {}
-    for (_, alpha), c in quantized.terms.items():
-        for mono, s in c.terms.items():
-            for k, sk in s.coefficients_in(_WEIGHT).items():
-                split.setdefault((k, alpha), {})[mono] = sk
-    return DensityOperator(delta.dim, {key: DiffPolynomial(t) for key, t in split.items()})
+    """The regular projective lifting with every P_k = 1: the weight-l0 symbol
+    quantized at the formal weight generator."""
+    return proj_regular_lift(delta, l0, ())
 
 
 def proj_decompose(delta: DensityOperator, l0) -> List[DensityOperator]:
@@ -223,28 +214,35 @@ def proj_decompose(delta: DensityOperator, l0) -> List[DensityOperator]:
 
 
 def proj_regular_lift(delta: DensityOperator, l0,
-                      weight_polys: Sequence[Sequence] ) -> DensityOperator:
-    """Regular projective lifting sum_k P_k(L) applied to the k-th part.
-
-    Each P_k must have degree <= k and P_k(l0) = 1.
-    """
+                      weight_polys: Sequence[Sequence]) -> DensityOperator:
+    """Regular projective lifting sum_k P_k(L) applied to the k-th part of
+    proj_decompose, each P_k of degree <= k with P_k(l0) = 1 (missing ones
+    are 1): the degree-(n - k) piece of the weight-l0 full symbol is scaled
+    by P_k at the formal weight, and the sum is quantized once there; the
+    coefficient of its k-th power becomes that of L^k."""
     l0 = Scalar.of(l0)
-    parts = proj_decompose(delta, l0)
-    polys = [[Scalar.of(c) for c in p] for p in weight_polys]
-    if len(polys) < len(parts):
-        polys = polys + [[Scalar.of(1)]] * (len(parts) - len(polys))
-    elif len(polys) > len(parts):
-        parts = parts + [DensityOperator.zero(delta.dim)] * (len(polys) - len(parts))
-    out = DensityOperator.zero(delta.dim)
-    for k, (coeffs, part) in enumerate(zip(polys, parts)):
+    delta.require_weight_free()
+    weight = Scalar.param(_WEIGHT)
+    scales = []
+    for k, coeffs in enumerate([[Scalar.of(c) for c in p] for p in weight_polys]):
         if len(coeffs) > k + 1:
             raise BadPolynomialError(f"P_{k} has degree {len(coeffs) - 1} > {k}")
-        poly = DensityOperator.lam_poly(delta.dim, coeffs)
-        if poly.restrict(l0) != DensityOperator.identity(delta.dim):
+        scales.append(sum((c * weight ** j for j, c in enumerate(coeffs)), ZERO))
+        if scales[-1].substitute({_WEIGHT: l0}) != ONE:
             raise BadPolynomialError(f"P_{k} is not normalized to 1 at the base weight")
-        if not part.is_zero():
-            out = out + poly @ proj_lift(part, l0)
-    return out
+    if delta.is_zero():
+        return delta
+    n = delta.x_order()
+    scales += [ONE] * (n + 1 - len(scales))
+    sym = full_symbol(delta, l0)
+    quantized = quantize(SymbolPoly(delta.dim, {beta: c * scales[n - len(beta)]
+                                                for beta, c in sym.terms.items()}), weight)
+    split: Dict[Tuple[int, Tuple[int, ...]], Dict] = {}
+    for (_, alpha), c in quantized.terms.items():
+        for mono, s in c.terms.items():
+            for k, sk in s.coefficients_in(_WEIGHT).items():
+                split.setdefault((k, alpha), {})[mono] = sk
+    return DensityOperator(delta.dim, {key: DiffPolynomial(t) for key, t in split.items()})
 
 
 def proj_sa_polynomials(n: int, l0, even_coeffs: Mapping[int, Sequence] = (),

@@ -574,6 +574,41 @@ def test_each_grammar_rejects_the_other_grammars_generators(capsys):
         assert captured.err.startswith("syntax error: ") and captured.err.count("\n") == 1
 
 
+def test_jet_names_with_a_derivative_rule_are_reserved(capsys):
+    # u, q and w carry the Moebius and reciprocal rules, x the coordinate rule:
+    # read as user jets they would derive by those rules
+    for dim, src, offset in ((1, "D1 u", 3), (1, "D1 q", 3), (1, "D1 w", 3), (1, "D1 x", 3),
+                             (2, "a + x[1,2]", 4), (1, "xi w", 3)):
+        parse = parse_symbol if "xi" in src else parse_operator
+        with pytest.raises(ParseError, match="reserved jet name") as info:
+            parse(src, cfg(dim=dim))
+        assert info.value.offset == offset, src
+        argv = ["--dim", str(dim), "symbol" if "xi" in src else "compose", src]
+        assert main(argv if "xi" in src else argv + ["1"]) == 2, src
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err.startswith("syntax error: ") and captured.err.count("\n") == 1
+    # a coordinate x[i] with one index, and jets without a rule, stay readable
+    for argv, shown in ((["--dim", "2", "compose", "D1 x[1]", "1"], "x[1]*D1 + 1"),
+                        (["compose", "D1 ell", "1"], "ell*D1 + ell_,1"),
+                        (["--params", "u", "compose", "D1 u", "1"], "u*D1")):
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().out == shown + "\n"
+
+
+def test_sym_and_symbolic_name_the_parameter_and_a_bare_params_name_is_sym(capsys):
+    for flag_sets, argv in (
+            ([["--params", "k1"], ["--params", "k1=sym"], ["--params", " k1 = symbolic "]],
+             ["compose", "k1 D1", "a"]),
+            ([["--lambda0", "sym"], ["--lambda0", "symbolic"], []],
+             ["lift", "distinguished", "a D1"])):
+        shown = []
+        for flags in flag_sets:
+            assert main(flags + argv) == 0, flags
+            shown.append(capsys.readouterr().out)
+        assert shown == [shown[0]] * 3 and re.search(r"\b(k1|l0)\b", shown[0]), shown
+
+
 def test_round_trip_with_rational_function_coefficients():
     # outputs of the distinguished and second-order lifts carry denominators
     # like (2 l0 - 1); their rendered and JSON forms must re-ingest exactly

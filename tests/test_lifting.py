@@ -447,6 +447,27 @@ def test_selfadjoint_family_closed_form():
                     assert got == apply_family(polys, lifted), (n, dim, rho, w)
 
 
+def test_selfadjoint_family_takes_one_adjoint_of_the_whole_pencil(monkeypatch):
+    # the closed form adjoints Q once and assembles no Taylor chain around 1/2
+    from denslift import lifting
+
+    rng = random.Random(73)
+    calls = []
+    adjoint = DensityOperator.adjoint
+    monkeypatch.setattr(DensityOperator, "adjoint",
+                        lambda self: calls.append(self) or adjoint(self))
+    monkeypatch.setattr(lifting, "taylor_assemble",
+                        lambda *args: pytest.fail("selfadjoint_family assembled a Taylor chain"))
+    for dim, n in ((1, 2), (2, 3), (1, 4)):
+        delta = weight_free_of_order(rng, dim, n)
+        evens = [weight_free_of_order(rng, dim, n - 2 * k) for k in range(1, n // 2 + 1)]
+        for data in ([], evens):
+            for rho in (COORD, GEN):
+                calls.clear()
+                selfadjoint_family(delta, l0, rho, data)
+                assert len(calls) == 1, (dim, n, len(data), rho)
+
+
 def test_the_canonical_family_returns_the_lift_without_composing(monkeypatch):
     # (A, B, C, D) = (1, 0, 0, 0): Horner's rule composes nothing while its value
     # is zero, and A = 1 applies as the lift itself

@@ -426,3 +426,25 @@ def test_constructor_and_order_guards():
     with pytest.raises(DimensionMismatchError,
                        match="^vector field has 1 components in dimension 2$"):
         lie_operator(2, [f])
+
+
+def test_mixed_type_arithmetic_scales_by_coefficients_and_nothing_else():
+    # a coefficient function or scalar scales an operator or symbol from either
+    # side; an operator or symbol never becomes a coefficient: Python's own
+    # TypeError, as for any pair of types with no product
+    from denslift.projective import SymbolPoly
+
+    op, op2 = D(1, 1) + L(1), D(1, 1) @ D(1, 1)
+    sym = SymbolPoly(1, {(1,): g, (): f})
+    half = Fraction(1, 2)
+    scaled = [(op, f), (op, Scalar.param("k")), (op, half), (op, 3), (sym, f), (sym, half)]
+    for value, factor in scaled:
+        assert factor * value == value * factor, (value, factor)
+        assert (value * factor).terms == {k: c * factor for k, c in value.terms.items()}
+    refused = [(op, op2, "*"), (op, sym, "*"), (sym, op, "*"), (op, f, "+"), (f, op, "+"),
+               (op, sym, "+"), (sym, f, "+"), (f, sym, "+"), (f, op, "-"), (f, "a", "+"),
+               (f, None, "-"), (f, None, "*")]
+    for left, right, sign in refused:
+        with pytest.raises(TypeError, match="unsupported operand type"):
+            {"*": lambda: left * right, "+": lambda: left + right,
+             "-": lambda: left - right}[sign]()

@@ -280,6 +280,25 @@ def test_proj_regular_lift_three_parameter_plane():
     assert lifted == expected
 
 
+def test_proj_regular_lift_quantizes_once(monkeypatch):
+    # one quantization at the formal weight, whatever the number of parts
+    from denslift import projective
+
+    rng = random.Random(79)
+    calls = []
+    monkeypatch.setattr(projective, "quantize",
+                        lambda sym, lam: calls.append(lam) or quantize(sym, lam))
+    for dim, n in ((1, 1), (1, 3), (2, 2), (2, 3)):
+        delta = weight_free_of_order(rng, dim, n)
+        for polys in ((), proj_sa_polynomials(n, l0, {2: [Fraction(1, 3)]}, {3: [2]})):
+            calls.clear()
+            lifted = proj_regular_lift(delta, l0, polys)
+            assert len(calls) == 1 and lifted.restrict(l0) == delta, (dim, n, polys)
+        calls.clear()
+        proj_lift(delta, l0)
+        assert len(calls) == 1
+
+
 def test_proj_regular_lift_degree_guard():
     delta = line_operator()
     with pytest.raises(BadPolynomialError):
