@@ -332,7 +332,8 @@ def selfadjoint_family(delta0: DensityOperator, l0, rho: VolumeForm,
         vanishing = [ZERO] * (2 * k - 2) + [-(l0 - HALF) ** 2, ZERO, ONE]
         pencil = pencil + DensityOperator.lam_poly(pencil.dim, vanishing, HALF) @ canonical_lift(
             op, HALF, rho)
-    odd = (pencil - Fraction((-1) ** n) * pencil.adjoint()) * (ONE / (2 * l0 - 1))
+    adjoint = pencil.adjoint()
+    odd = (pencil + adjoint if n % 2 else pencil - adjoint) * (ONE / (2 * l0 - 1))
     return DensityOperator.lam_poly(pencil.dim, [pencil, odd], l0)
 
 
