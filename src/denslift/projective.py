@@ -233,10 +233,10 @@ def proj_regular_lift(delta: DensityOperator, l0,
     if delta.is_zero():
         return delta
     n = delta.x_order()
-    scales += [ONE] * (n + 1 - len(scales))
     sym = full_symbol(delta, l0)
-    quantized = quantize(SymbolPoly(delta.dim, {beta: c * scales[n - len(beta)]
-                                                for beta, c in sym.terms.items()}), weight)
+    quantized = quantize(SymbolPoly(delta.dim, {
+        beta: c * scales[n - len(beta)] if n - len(beta) < len(scales) else c
+        for beta, c in sym.terms.items()}), weight)
     split: Dict[Tuple[int, Tuple[int, ...]], Dict] = {}
     for (_, alpha), c in quantized.terms.items():
         for mono, s in c.terms.items():
