@@ -330,8 +330,8 @@ def selfadjoint_family(delta0: DensityOperator, l0, rho: VolumeForm,
             raise OrderViolationError(
                 f"even coefficient #{k} has order {op.x_order()} > {n - 2 * k}")
         vanishing = [ZERO] * (2 * k - 2) + [-(l0 - HALF) ** 2, ZERO, ONE]
-        pencil = pencil + DensityOperator.lam_poly(pencil.dim, vanishing, HALF) @ canonical_lift(
-            op, HALF, rho)
+        pencil = pencil + (DensityOperator.lam_poly(pencil.dim, vanishing, HALF)
+                           @ canonical_lift(op, HALF, rho))
     adjoint = pencil.adjoint()
     odd = (pencil + adjoint if n % 2 else pencil - adjoint) * (ONE / (2 * l0 - 1))
     return DensityOperator.lam_poly(pencil.dim, [pencil, odd], l0)

@@ -118,7 +118,7 @@ class DensityOperator:
         return DensityOperator(self.dim, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: "DensityOperator") -> "DensityOperator":
-        return self + (-other)
+        return self + (-other) if isinstance(other, DensityOperator) else NotImplemented
 
     def __mul__(self, factor) -> "DensityOperator":
         """Left multiplication by a coefficient function or scalar."""

@@ -60,7 +60,7 @@ class SymbolPoly:
         return SymbolPoly(self.dim, {b: -c for b, c in self.terms.items()})
 
     def __sub__(self, other: "SymbolPoly") -> "SymbolPoly":
-        return self + (-other)
+        return self + (-other) if isinstance(other, SymbolPoly) else NotImplemented
 
     def __mul__(self, factor) -> "SymbolPoly":
         if isinstance(factor, SymbolPoly):

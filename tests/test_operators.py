@@ -442,9 +442,9 @@ def test_mixed_type_arithmetic_scales_by_coefficients_and_nothing_else():
         assert factor * value == value * factor, (value, factor)
         assert (value * factor).terms == {k: c * factor for k, c in value.terms.items()}
     refused = [(op, op2, "*"), (op, sym, "*"), (sym, op, "*"), (op, f, "+"), (f, op, "+"),
-               (op, sym, "+"), (sym, f, "+"), (f, sym, "+"), (f, op, "-"), (f, "a", "+"),
-               (f, None, "-"), (f, None, "*")]
+               (op, sym, "+"), (sym, f, "+"), (f, sym, "+"), (f, op, "-"), (op, f, "-"),
+               (sym, op, "-"), (sym, f, "-"), (f, "a", "+"), (f, None, "-"), (f, None, "*")]
     for left, right, sign in refused:
-        with pytest.raises(TypeError, match="unsupported operand type"):
+        with pytest.raises(TypeError, match=rf"unsupported operand type\(s\) for \{sign}:"):
             {"*": lambda: left * right, "+": lambda: left + right,
              "-": lambda: left - right}[sign]()
