@@ -231,15 +231,10 @@ class _Parser:
                 return value
 
     def _power(self, value, n: int):
-        out = value if n else self._one()
+        out = value if n else self._const(Scalar.of(1))
         for _ in range(n - 1):
             out = self._combine(out, value)
         return out
-
-    def _one(self):
-        if self.symbol_mode:
-            return SymbolPoly(self.cfg.dim, {(): DiffPolynomial.const(1)})
-        return DensityOperator.identity(self.cfg.dim)
 
     def _derive_atom(self, value, axis: int, offset: int):
         # only multiplication atoms (functions) can carry derivative suffixes
@@ -295,7 +290,8 @@ class _Parser:
             self._check_axis(axis)
             return SymbolPoly(self.cfg.dim, {(axis,): DiffPolynomial.const(1)})
         if val in self.cfg.param_names():
-            bound = self.cfg.params.get(val)
+            # l0 is the base weight: --lambda0 sets it, --params cannot bind it
+            bound = self.cfg.lambda0 if val == "l0" else self.cfg.params.get(val)
             scalar = bound if bound is not None else Scalar.param(val)
             return self._const(scalar)
         upper = self._indices_if_any()
@@ -372,25 +368,21 @@ def _sum(pieces):
 
 
 def _emit(cfg: SessionConfig, obj) -> str:
-    if isinstance(obj, DensityOperator):
-        return obj.to_json() if cfg.json_output else obj.render()
-    if isinstance(obj, SymbolPoly):
-        if cfg.json_output:
-            data = {
-                "schema": "denslift/1",
-                "symbol": [{"xi": list(beta), "coeff": str(c)}
-                           for beta, c in sorted(obj.terms.items(),
-                                                 key=lambda kv: (-len(kv[0]), kv[0]))],
-                "degree": obj.degree(),
-            }
-            return json.dumps(data)
-        return obj.render()
-    if isinstance(obj, list):
-        # Taylor coefficients [D0..Dn]
+    if cfg.json_output and isinstance(obj, DensityOperator):
+        return obj.to_json()
+    if cfg.json_output and isinstance(obj, SymbolPoly):
+        return json.dumps({
+            "schema": "denslift/1",
+            "symbol": [{"xi": list(beta), "coeff": str(c)}
+                       for beta, c in sorted(obj.terms.items(),
+                                             key=lambda kv: (-len(kv[0]), kv[0]))],
+            "degree": obj.degree(),
+        })
+    if isinstance(obj, list):   # Taylor coefficients [D0..Dn]
         if cfg.json_output:
             return json.dumps({"schema": "denslift/1",
                                "coefficients": [json.loads(c.to_json()) for c in obj]})
-        return "\n".join(f"[{k}] {c.render()}" for k, c in enumerate(obj))
+        return "\n".join(f"[{k}] {c}" for k, c in enumerate(obj))
     # Schwarzian data and check verdicts print as text under --json too
     return str(obj)
 
@@ -419,6 +411,8 @@ def _param_name(name: str) -> str:
         raise FlagError(f"--params expects names like k1, got {name!r}")
     if name == "L" or _DGEN_RE.match(name) or _XI_RE.match(name):
         raise FlagError(f"--params cannot bind the generator {name}")
+    if name == "l0":
+        raise FlagError("--params cannot bind the base weight l0: use --lambda0")
     return name
 
 

@@ -139,10 +139,7 @@ class DiffPolynomial:
 
     @staticmethod
     def const(value) -> "DiffPolynomial":
-        s = Scalar.of(value) if not isinstance(value, Scalar) else value
-        if s.is_zero():
-            return DiffPolynomial()
-        return DiffPolynomial({(): s})
+        return DiffPolynomial({(): Scalar.of(value)})
 
     @staticmethod
     def jet(base: str, upper: Iterable[int] = (), lower: Iterable[int] = ()) -> "DiffPolynomial":

@@ -19,9 +19,8 @@ def operator_coordinates(ops: Sequence[DensityOperator]) -> List[List[Scalar]]:
         for (r, alpha), c in op.terms.items():
             for mono in c.terms:
                 coords.add((r, alpha, mono))
-    ordered = sorted(coords, key=lambda k: (k[0], k[1], str(k[2])))
     rows = []
-    for r, alpha, mono in ordered:
+    for r, alpha, mono in sorted(coords):
         row = []
         for op in ops:
             c = op.terms.get((r, alpha))

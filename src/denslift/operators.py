@@ -214,9 +214,6 @@ class DensityOperator:
             raise ZeroOperatorError("zero operator has no order")
         return max(r for r, _ in self.terms)
 
-    def is_vertical(self) -> bool:
-        return all(not alpha for _, alpha in self.terms)
-
     def has_weight_factor(self) -> bool:
         return any(r for r, _ in self.terms)
 
@@ -390,11 +387,10 @@ def generic_second_order(dim: int) -> DensityOperator:
 
 
 def vector_divergence(components: Sequence[DiffPolynomial]) -> DiffPolynomial:
-    """Coordinate divergence d_i X^i of a vector field given by its components."""
-    out = DiffPolynomial.zero()
-    for i, comp in enumerate(components, start=1):
-        out = out + comp.derive(i)
-    return out
+    """Coordinate divergence d_i X^i of a vector field given by its components:
+    the divergence of the rank-1 tensor."""
+    tensor = {(i,): comp for i, comp in enumerate(components, start=1)}
+    return tensor_divergence(tensor).get((), DiffPolynomial.zero())
 
 
 def lie_operator(dim: int, components: Sequence[DiffPolynomial]) -> DensityOperator:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
+from types import MappingProxyType
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import BadPolynomialError, DimensionNotOneError
@@ -245,23 +246,22 @@ def proj_regular_lift(delta: DensityOperator, l0,
     return DensityOperator(delta.dim, {key: DiffPolynomial(t) for key, t in split.items()})
 
 
-def proj_sa_polynomials(n: int, l0, even_coeffs: Mapping[int, Sequence] = (),
-                        odd_coeffs: Mapping[int, Sequence] = ()) -> List[List[Scalar]]:
+def proj_sa_polynomials(n: int, l0,
+                        free: Mapping[int, Sequence] = MappingProxyType({})) -> List[List[Scalar]]:
     """Weight polynomials of all (anti-)self-adjoint regular projective liftings.
 
     P_0 = 1, P_1 = (2L-1)/(2l0-1); even P_2k are 1 plus the even t-family
     sum_r c_r (t^{2r}(L) - t^{2r}(l0)), odd P_2k+1 carry the extra factor
-    t(L)/t(l0).  Free coefficients are per-polynomial; their total count is
+    t(L)/t(l0).  ``free`` maps k to the free coefficients c_r of P_k, at most
+    k // 2 of them; keys above n are ignored.  Their total count is
     (n^2 - p(n))/4.  Each P_k is returned as its coefficient list in L.
     """
     l0 = Scalar.of(l0)
     _reject_weights(l0, HALF)
-    even_coeffs = dict(even_coeffs or {})
-    odd_coeffs = dict(odd_coeffs or {})
     odd_factor = DensityOperator.lam_poly(1, [ZERO, ONE / (l0 - HALF)], HALF)
     out: List[List[Scalar]] = []
     for k in range(n + 1):
-        given = (odd_coeffs if k % 2 else even_coeffs).get(k, ()) if k else ()
+        given = free.get(k, ())
         if len(given) > k // 2:
             raise BadPolynomialError(f"P_{k} admits at most {k // 2} free coefficients")
         poly = DensityOperator.identity(1) + even_t_family(1, l0, given)
@@ -342,7 +342,7 @@ class DiffeoJet1D(NamedTuple):
         return self.w * f.derive(1)
 
     def reduce_poly(self, p: DiffPolynomial) -> DiffPolynomial:
-        return p.cancel_pairs(self.pairs) if self.pairs else p
+        return p.cancel_pairs(self.pairs)
 
     def reduce(self, op: DensityOperator) -> DensityOperator:
         return op.map_coefficients(self.reduce_poly)

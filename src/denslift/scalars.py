@@ -12,8 +12,8 @@ lowest degree first, each a polynomial in the other k - 1; with no variables
 it is an int.  Zero is 0 at level 0 and () above it, and no tuple ends in a
 zero.  Sums and products follow Henrici (Knuth, TAOCP vol. 2, 4.5.1), so gcds
 are taken only between a numerator and the other operand's denominator, or
-between the two denominators; the gcd itself is the primitive Euclidean
-algorithm over the coefficient ring (Brown 1971).
+between the two denominators; the gcd itself is a pseudo-remainder sequence
+over the coefficient ring (see _gcd).
 """
 
 from __future__ import annotations
@@ -190,6 +190,16 @@ def _mul(a, b, k: int):
     return tuple(out)
 
 
+def _submul(r, s: int, t, b, k: int) -> None:
+    """r[s + j] -= t * b[j] for every j, in place, in k >= 1 variables."""
+    if k == 1:
+        r[s:s + len(b)] = [x - t * y for x, y in zip(r[s:s + len(b)], b)]
+    else:
+        minus_t = _scale(t, -1, k - 1)
+        for j, y in enumerate(b, s):
+            r[j] = _add(r[j], _mul(minus_t, y, k - 1), k - 1)
+
+
 def _divexact(a, b, k: int):
     """a / b in k >= 1 variables, where b divides a."""
     if not a:
@@ -203,39 +213,24 @@ def _divexact(a, b, k: int):
     r = list(a)
     q = [0 if k == 1 else ()] * (len(a) - n)
     for i in range(len(q) - 1, -1, -1):
-        if k == 1:
-            t = r[i + n] // lb
-            r[i:i + n + 1] = [x - t * y for x, y in zip(r[i:i + n + 1], b)]
-        else:
-            t = _divexact(r[i + n], lb, k - 1)
-            minus_t = _scale(t, -1, k - 1)
-            for j, y in enumerate(b):
-                r[i + j] = _add(r[i + j], _mul(minus_t, y, k - 1), k - 1)
-        q[i] = t
+        q[i] = t = r[i + n] // lb if k == 1 else _divexact(r[i + n], lb, k - 1)
+        _submul(r, i, t, b, k)
     return tuple(q)
 
 
 def _prem(a, b, k: int):
-    """A nonzero multiple of the pseudo-remainder of a by b in the first
-    variable, where len(a) >= len(b) >= 2."""
+    """The pseudo-remainder lc(b)^(d+1) a mod b in the first variable, with
+    d = len(a) - len(b) >= 0 and len(b) >= 2."""
     n = len(b) - 1
-    lb = b[-1]
+    lb, low = b[-1], b[:-1]
     r = list(a)
-    while len(r) > n:
-        lr = r[-1]
-        s = len(r) - 1 - n
-        if k == 1:
-            g = gcd(lr, lb)
-            x, y = lb // g, lr // g
-            r = [v * x for v in r]
-            r[s:] = [v - y * w for v, w in zip(r[s:], b)]
-        else:
-            r = [_mul(v, lb, k - 1) for v in r]
-            minus_lr = _scale(lr, -1, k - 1)
-            for j, w in enumerate(b):
-                r[s + j] = _add(r[s + j], _mul(minus_lr, w, k - 1), k - 1)
-        while r and not r[-1]:
-            r.pop()
+    for s in range(len(a) - 1 - n, -1, -1):
+        t = r.pop()   # cancels against lb times the top of x^s b
+        r = [v * lb for v in r] if k == 1 else [_mul(v, lb, k - 1) for v in r]
+        if t:
+            _submul(r, s, t, low, k)
+    while r and not r[-1]:
+        r.pop()
     return tuple(r)
 
 
@@ -254,7 +249,14 @@ def _coeff_gcd(p, k: int):
 
 
 def _gcd(a, b, k: int):
-    """Greatest common divisor in Z[x1..xk], with a positive leading coefficient."""
+    """Greatest common divisor in Z[x1..xk], with a positive leading coefficient.
+
+    In two or more variables the primitive parts run through the
+    subresultant PRS (Brown & Traub 1971; Knuth, TAOCP vol. 2, 4.6.1,
+    Algorithm C): each remainder is divided exactly by g h^d, h is updated
+    by repeated exact division (Lazard), and the content is taken once, at
+    the end, so coefficients grow no further than the subresultants.  One
+    variable keeps the primitive PRS."""
     if not k:
         return gcd(a, b)
     if not a or not b:
@@ -267,17 +269,35 @@ def _gcd(a, b, k: int):
     a, b = _divexact(a, (ca,), k), _divexact(b, (cb,), k)
     if len(a) < len(b):
         a, b = b, a
+    g = h = one = _one(k - 1)
     while True:
+        d = len(a) - len(b)
         r = _prem(a, b, k)
         if not r:
             break
         if len(r) == 1:
             b = _one(k)
             break
-        a, b = b, _divexact(r, (_coeff_gcd(r, k),), k)
+        if k == 1:
+            # the primitive PRS: one C-level gcd per step costs less than the
+            # subresultant bookkeeping on low-degree univariate inputs
+            a, b = b, _iquo(r, gcd(*r), 1)
+            continue
+        m = g   # r is divisible by g h^d
+        for _ in range(d):
+            m = _mul(m, h, k - 1)
+        a, b = b, _divexact(r, (m,), k)
+        g = a[-1]
+        if d:   # h = g^d / h^(d - 1), one exact division at a time
+            m = g
+            for _ in range(d - 1):
+                m = _divexact(_mul(m, g, k - 1), h, k - 1)
+            h = m
+    if k > 1:   # the univariate sequence is primitive throughout
+        b = _divexact(b, (_coeff_gcd(b, k),), k)
     if _lc(b, k) < 0:
         b = _scale(b, -1, k)
-    return b if c == _one(k - 1) else tuple([_mul(c, x, k - 1) for x in b])
+    return b if c == one else tuple([_mul(c, x, k - 1) for x in b])
 
 
 def _cancel(n, d, k: int):
@@ -604,9 +624,6 @@ class Scalar:
 
     def is_zero(self) -> bool:
         return not self._p
-
-    def is_one(self) -> bool:
-        return not self._vars and self._p == 1 and self._q == 1
 
     def as_fraction(self) -> Fraction:
         if self._vars:

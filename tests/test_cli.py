@@ -518,6 +518,13 @@ GOLDEN = [
     (["lift", "second", "--lambda0", "1/2", "a D1 D1"], None, 1,
      '',
      'error: exceptional weight 1/2\n'),
+    # l0 in an expression is the base weight that --lambda0 sets
+    (["--lambda0", "1/3", "--volume", "generic", "lift", "canonical", "l0*D1"], None, 0,
+     '-1/3*ell_,1*L + 1/3*D1 + 1/9*ell_,1\n',
+     ''),
+    (["--params", "l0=1/3", "--volume", "generic", "lift", "canonical", "l0*D1"], None, 2,
+     '',
+     'flag error: --params cannot bind the base weight l0: use --lambda0\n'),
 ]
 
 

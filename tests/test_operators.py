@@ -167,13 +167,6 @@ def test_orders():
         DensityOperator.zero(1).total_order()
 
 
-def test_is_vertical():
-    c = DiffPolynomial.jet("c")
-    assert DensityOperator(1, {(2, ()): c}).is_vertical()
-    assert not D(1, 1).is_vertical()
-    assert DensityOperator.zero(1).is_vertical()
-
-
 def test_lie_operator_examples():
     # constant field: no divergence term
     const_field = [DiffPolynomial.const(1), DiffPolynomial.zero()]

@@ -53,7 +53,7 @@ def test_symbol_coeff_closed_form_values():
     assert symbol_coeff(2, 1, lam, 1) == -(2 * lam + 1) / 2
     assert symbol_coeff(2, 2, lam, 1) == lam * (2 * lam + 1) / 3
     for n in range(5):
-        assert symbol_coeff(n, 0, lam, 2).is_one()
+        assert symbol_coeff(n, 0, lam, 2) == 1
 
 
 def test_full_symbol_second_order_line():
@@ -290,7 +290,7 @@ def test_proj_regular_lift_quantizes_once(monkeypatch):
                         lambda sym, lam: calls.append(lam) or quantize(sym, lam))
     for dim, n in ((1, 1), (1, 3), (2, 2), (2, 3)):
         delta = weight_free_of_order(rng, dim, n)
-        for polys in ((), proj_sa_polynomials(n, l0, {2: [Fraction(1, 3)]}, {3: [2]})):
+        for polys in ((), proj_sa_polynomials(n, l0, {2: [Fraction(1, 3)], 3: [2]})):
             calls.clear()
             lifted = proj_regular_lift(delta, l0, polys)
             assert len(calls) == 1 and lifted.restrict(l0) == delta, (dim, n, polys)
@@ -309,7 +309,7 @@ def test_proj_regular_lift_degree_guard():
 
 def test_proj_sa_polynomials_shapes_and_parity():
     k = Scalar.param("k")
-    polys = proj_sa_polynomials(2, l0, even_coeffs={2: [k]})
+    polys = proj_sa_polynomials(2, l0, {2: [k]})
     assert polys[0] == [Scalar.of(1)]
     den = 2 * l0 - 1
     assert polys[1] == [Scalar.of(-1) / den, Scalar.of(2) / den]
@@ -354,7 +354,7 @@ def test_projective_sa_line_differs_from_canonical_by_schwarzian():
     # Pi_kappa(Delta) - Pi_can(Delta) = kappa (L(L-1) - l0(l0-1)) S(x)
     delta = line_operator()
     k = Scalar.param("k")
-    polys = proj_sa_polynomials(2, l0, even_coeffs={2: [k]})
+    polys = proj_sa_polynomials(2, l0, {2: [k]})
     pi_k = proj_regular_lift(delta, l0, polys)
     pi_can = second_order_canonical_lift(delta, l0)
     kappa = l0 * (l0 - 1) * k - 1
@@ -482,7 +482,7 @@ def test_proj_regular_sa_handle_equivariance_forces_schwarzian_invariance():
 
     delta = line_operator()
     k = Scalar.param("k")
-    polys = proj_sa_polynomials(2, l0, even_coeffs={2: [k]})
+    polys = proj_sa_polynomials(2, l0, {2: [k]})
     special = proj_generators(1)[2]
     kappa_handle = LiftingHandle.proj_regular(l0, polys)
     can_handle = LiftingHandle.second_order_canonical(l0)
@@ -494,11 +494,9 @@ def test_proj_regular_sa_handle_equivariance_forces_schwarzian_invariance():
 
 def test_proj_sa_polynomials_parity_through_order_five():
     for n in range(1, 6):
-        even = {k: [Scalar.param(f"c{k}{r}") for r in range(1, k // 2 + 1)]
-                for k in range(2, n + 1, 2)}
-        odd = {k: [Scalar.param(f"d{k}{r}") for r in range(1, k // 2 + 1)]
-               for k in range(3, n + 1, 2)}
-        polys = proj_sa_polynomials(n, l0, even_coeffs=even, odd_coeffs=odd)
+        free = {k: [Scalar.param(f"c{k}{r}") for r in range(1, k // 2 + 1)]
+                for k in range(2, n + 1)}
+        polys = proj_sa_polynomials(n, l0, free)
         assert len(polys) == n + 1
         for idx, coeffs in enumerate(polys):
             assert len(coeffs) <= idx + 1
@@ -556,7 +554,7 @@ def test_line_only_and_range_guards():
                        match="^coordinate changes are implemented on the line$"):
         coordinate_change_1d(DensityOperator.partial(2, 1), DiffeoJet1D.generic())
     with pytest.raises(BadPolynomialError, match="^P_3 admits at most 1 free coefficients$"):
-        proj_sa_polynomials(3, l0, odd_coeffs={3: [1, 2]})
+        proj_sa_polynomials(3, l0, {3: [1, 2]})
     with pytest.raises(ValueError, match="^need 0 <= k <= n$"):
         symbol_coeff(2, 3, l0, 1)
 

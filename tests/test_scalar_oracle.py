@@ -7,11 +7,13 @@ recursive variable order is exercised on both sides of l0.  Results are read
 back through their rendered text and compared with sympy.cancel.
 """
 
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from denslift import cli
 from denslift.errors import ZeroDenominatorError
 from denslift.scalars import Scalar
 
@@ -54,10 +56,8 @@ linear = st.tuples(st.integers(-3, 3), st.sampled_from([(0, 0, 0), (1, 0, 0), (0
 
 @st.composite
 def affine_ratios(draw):
-    """(affine)/(affine) in l0, k1 and a1.  A binding of higher degree can
-    make the substituted function's gcds take minutes: one random pair of
-    degree-2 functions took 6 s, and over two minutes with the older
-    Fraction-dict Scalar."""
+    """(affine)/(affine) in l0, k1 and a1.  Bindings of degree 2 are the
+    cases of test_substitution_with_a_degree_two_binding_is_fast."""
     num = build([(c, *e) for c, e in draw(st.lists(linear, max_size=3))])
     den = build([(c, *e) for c, e in draw(st.lists(linear, min_size=1, max_size=3))])
     if sympy.expand(den[1]) == 0:
@@ -218,3 +218,54 @@ def test_rationals_plus_one_parameter_polynomials():
                                          (1 + L0) / (L0 - 2 * L0 ** 2))):
         check_sum_and_product(p, other)
         check_sum_and_product(other, p)
+
+
+# -- the multivariate gcd ------------------------------------------------------
+# Two- and three-parameter gcds run the subresultant PRS.  With the primitive
+# PRS, which takes the content of every remainder, this substitution took
+# 6-7 s, and one of 300 seeded random degree-2 substitutions 35 s.
+
+SLOW_BINDING = "(-a1 - 5 k1^2 l0)/(a1 k1^2 + a1 l0^2 + 3 k1 l0^2)"
+SLOW_RESULT = (
+    "(-5/2*a1^3 - 25*a1^2*k1^2*l0 - 125/2*a1*k1^4*l0^2)/(-1/2*a1^2 - 5*a1*k1^2*l0"
+    " + 15*a1*k1*l0^4 + 15*a1*k1^3*l0^2 + 5*a1^2*k1^2*l0^2 + 5/2*a1^2*k1^4"
+    " + 5/2*a1^2*l0^4 + 45/2*k1^2*l0^4 - 25/2*k1^4*l0^2 + 9*a1*k1^4*l0^4"
+    " + 6*a1^2*k1^3*l0^4 + 6*a1^2*k1^5*l0^2 + a1^3*k1^2*l0^4 + 2*a1^3*k1^4*l0^2"
+    " + a1^3*k1^6)")
+
+
+def test_substitution_with_a_degree_two_binding_is_fast():
+    l0, k1, a1 = (Scalar.param(n) for n in ("l0", "k1", "a1"))
+    scalar = -Fraction(5, 2) * a1 * l0 ** 2 / (Fraction(5, 2) - l0 ** 2 / 2 + a1 * k1 ** 2)
+    binding = (-a1 - 5 * k1 ** 2 * l0) / (a1 * k1 ** 2 + a1 * l0 ** 2 + 3 * k1 * l0 ** 2)
+    start = time.perf_counter()
+    got = scalar.substitute({"l0": binding})
+    assert time.perf_counter() - start < 0.5
+    assert str(got) == SLOW_RESULT
+    target = (-A1 - 5 * K1 ** 2 * L0) / (A1 * K1 ** 2 + A1 * L0 ** 2 + 3 * K1 * L0 ** 2)
+    assert same(got, -sympy.Rational(5, 2) * A1 * target ** 2
+                / (sympy.Rational(5, 2) - target ** 2 / 2 + A1 * K1 ** 2))
+
+
+def test_cli_input_with_a_degree_two_binding_is_fast(capsys):
+    expr = f"(-5/2 a1 ({SLOW_BINDING})^2) / (5/2 - 1/2 ({SLOW_BINDING})^2 + a1 k1^2)"
+    start = time.perf_counter()
+    assert cli.main(["--params", "a1", "adjoint", expr]) == 0
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr().out == f"(({SLOW_RESULT}))\n"
+
+
+@pytest.mark.parametrize("p, q", [
+    # a1 is the first variable: the remainder degrees run 7, 5, 3, 1, a gap
+    # of 2 at every step, so h = g^2 / h is not 1 after the first
+    ("a1^6 + k1 a1^2 + l0", "a1^4 + k1 - 2 l0"),
+    # equal degrees at the first step
+    ("a1^2 + k1 a1 - 3 l0", "2 a1^2 + a1 + k1^2"),
+], ids=["gap-2", "gap-0"])
+def test_common_factor_cancels_through_degree_gaps(p, q):
+    cfg = cli.SessionConfig(params={"a1": Scalar.param("a1")})
+    p, q, g = (cli.parse_operator(src, cfg).app1().const_value()
+               for src in (p, q, "a1 k1 + l0 + 1"))
+    got = (p * g) / (q * g)
+    assert got == p / q
+    assert same(got, as_sympy(p) / as_sympy(q))
