@@ -18,7 +18,6 @@ from .errors import (
     ParseError,
     SchemaError,
     ZeroDenominatorError,
-    ZeroOperatorError,
 )
 from .jets import DiffPolynomial, JetSymbol, register_symbol
 from .lifting import (

@@ -431,7 +431,7 @@ def _parse_params(spec: Optional[str]) -> Dict[str, Scalar]:
 
 
 def _vol_params(cfg: SessionConfig, delta: DensityOperator) -> VolLiftParams:
-    n = 0 if delta.is_zero() else delta.total_order()
+    n = delta.total_order()
     for name in cfg.params:
         m = re.match(r"^[cd](\d+)$", name)
         if m:

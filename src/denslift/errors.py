@@ -21,10 +21,6 @@ class DimensionMismatchError(DensliftError):
     """Operands live over different coordinate dimensions."""
 
 
-class ZeroOperatorError(DensliftError):
-    """The zero operator has no well-defined order."""
-
-
 class HasWeightOperatorError(DensliftError):
     """An operation expected an operator free of the weight generator."""
 

@@ -104,7 +104,7 @@ def _reject_weights(l0: Scalar, *weights: Scalar):
 def _require_order(delta: DensityOperator, n: int):
     """Weight-free, then of order at most n."""
     delta.require_weight_free()
-    if not delta.is_zero() and delta.x_order() > n:
+    if delta.x_order() > n:
         raise OrderTooHighError(f"operator must have order at most {n}")
 
 
@@ -163,14 +163,12 @@ def vol_lift(delta: DensityOperator, l0, rho: VolumeForm,
     """Regular lifting family A(L) P + B(L) P* + C(L) P(1) + D(L) P*(1)."""
     delta.require_weight_free()
     l0 = Scalar.of(l0)
-    if delta.is_zero():
-        return delta
     return apply_family(vol_family(delta, l0, params), canonical_lift(delta, l0, rho))
 
 
 def vol_family(delta: DensityOperator, l0: Scalar, params: VolLiftParams):
     """(A, B, C, D) of the member with params, whose lists must cover delta's order."""
-    if delta.terms and params.n < delta.total_order():
+    if params.n < delta.total_order():
         raise OrderViolationError(f"parameter lists of length {params.n} cannot lift "
                                   f"an order {delta.total_order()} operator")
     return family_polynomials(delta.dim, l0, params.n, params.b, params.c, params.d)
@@ -291,7 +289,7 @@ def taylor_expand(op: DensityOperator, l0, rho: VolumeForm) -> List[DensityOpera
     l0 = Scalar.of(l0)
     if not rho.is_coordinate:
         op = op.substitute_partials(covariant_partials(op.dim, l0, rho, -1))
-    top = op.lam_degree() if op.terms else 0
+    top = op.lam_degree()
     l0_pows = [l0 ** j for j in range(top + 1)]
     shifted = collect(((k, alpha), c * (comb(r, k) * l0_pows[r - k]))
                       for (r, alpha), c in op.terms.items() for k in range(r + 1))
@@ -322,11 +320,11 @@ def selfadjoint_family(delta0: DensityOperator, l0, rho: VolumeForm,
     delta0.require_weight_free()
     l0 = Scalar.of(l0)
     _reject_weights(l0, HALF)
-    n = 0 if delta0.is_zero() else delta0.total_order()   # zero has no free data
+    n = delta0.total_order()
     pencil = canonical_lift(delta0, l0, rho)
     for k, op in enumerate(evens, start=1):
         op.require_weight_free()
-        if not op.is_zero() and op.x_order() > n - 2 * k:
+        if op.x_order() > n - 2 * k:
             raise OrderViolationError(
                 f"even coefficient #{k} has order {op.x_order()} > {n - 2 * k}")
         vanishing = [ZERO] * (2 * k - 2) + [-(l0 - HALF) ** 2, ZERO, ONE]
@@ -355,10 +353,8 @@ def limit_lift(delta: DensityOperator, rho: VolumeForm) -> DensityOperator:
 
 
 def is_regular_pair(lifted: DensityOperator, n: int) -> bool:
-    return lifted.is_zero() or lifted.total_order() <= n
+    return lifted.total_order() <= n
 
 
 def is_strict_pair(delta: DensityOperator, lifted: DensityOperator) -> bool:
-    if lifted.is_zero():
-        return True
     return lifted.total_order() <= delta.total_order()

@@ -25,11 +25,7 @@ from itertools import combinations_with_replacement, product
 from math import comb, factorial
 from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import (
-    DimensionMismatchError,
-    HasWeightOperatorError,
-    ZeroOperatorError,
-)
+from .errors import DimensionMismatchError, HasWeightOperatorError
 from .jets import DiffPolynomial
 from .scalars import Scalar, collect, collect_products, render_sum
 
@@ -200,25 +196,16 @@ class DensityOperator:
     # -- order bookkeeping -----------------------------------------------------
 
     def total_order(self) -> int:
-        if not self.terms:
-            raise ZeroOperatorError("zero operator has no order")
-        return max(r + len(alpha) for r, alpha in self.terms)
+        return max((r + len(alpha) for r, alpha in self.terms), default=0)
 
     def x_order(self) -> int:
-        if not self.terms:
-            raise ZeroOperatorError("zero operator has no order")
-        return max(len(alpha) for _, alpha in self.terms)
+        return max((len(alpha) for _, alpha in self.terms), default=0)
 
     def lam_degree(self) -> int:
-        if not self.terms:
-            raise ZeroOperatorError("zero operator has no order")
-        return max(r for r, _ in self.terms)
-
-    def has_weight_factor(self) -> bool:
-        return any(r for r, _ in self.terms)
+        return max((r for r, _ in self.terms), default=0)
 
     def require_weight_free(self):
-        if self.has_weight_factor():
+        if self.lam_degree():
             raise HasWeightOperatorError("operator must not contain the weight generator")
 
     def coefficient(self, r: int, alpha: Iterable[int]) -> DiffPolynomial:
@@ -258,8 +245,8 @@ class DensityOperator:
                 {"lpow": r, "dmulti": list(alpha), "coeff": str(c)}
                 for (r, alpha), c in self.sorted_terms()
             ],
+            "order": self.total_order(),
         }
-        data["order"] = self.total_order() if self.terms else 0
         return json.dumps(data)
 
     def __str__(self) -> str:

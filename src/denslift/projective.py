@@ -206,8 +206,6 @@ def proj_decompose(delta: DensityOperator, l0) -> List[DensityOperator]:
     n the order of delta."""
     l0 = Scalar.of(l0)
     delta.require_weight_free()
-    if delta.is_zero():
-        return [delta]
     sym = full_symbol(delta, l0)
     return [quantize(SymbolPoly(delta.dim, {beta: c for beta, c in sym.terms.items()
                                             if len(beta) == degree}), l0)
@@ -231,8 +229,6 @@ def proj_regular_lift(delta: DensityOperator, l0,
         scales.append(sum((c * weight ** j for j, c in enumerate(coeffs)), ZERO))
         if scales[-1].substitute({_WEIGHT: l0}) != ONE:
             raise BadPolynomialError(f"P_{k} is not normalized to 1 at the base weight")
-    if delta.is_zero():
-        return delta
     n = delta.x_order()
     sym = full_symbol(delta, l0)
     quantized = quantize(SymbolPoly(delta.dim, {

@@ -266,10 +266,11 @@ def _gcd(a, b, k: int):
     c = _gcd(ca, cb, k - 1)
     if len(a) == 1 or len(b) == 1:
         return (c,)
-    a, b = _divexact(a, (ca,), k), _divexact(b, (cb,), k)
+    one = _one(k - 1)
+    a, b = (p if cp == one else _divexact(p, (cp,), k) for p, cp in ((a, ca), (b, cb)))
     if len(a) < len(b):
         a, b = b, a
-    g = h = one = _one(k - 1)
+    g = h = one
     while True:
         d = len(a) - len(b)
         r = _prem(a, b, k)

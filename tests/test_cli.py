@@ -512,6 +512,18 @@ GOLDEN = [
     (["adjoint", "D1 +"], None, 2,
      '',
      'syntax error: expected an atom (at offset 4)\n'),
+    (["adjoint", "D1 )"], None, 2,
+     '',
+     'syntax error: trailing input (at offset 3)\n'),
+    (["adjoint", "S[1 2]"], None, 2,
+     '',
+     "syntax error: expected ',' or ']' in index list (at offset 4)\n"),
+    (["quantize", "xi_,1"], None, 2,
+     '',
+     'syntax error: derivative suffix on a fiber variable (at offset 2)\n'),
+    (["adjoint", "D1_,1"], None, 2,
+     '',
+     'syntax error: derivative suffix only applies to coefficient atoms (at offset 2)\n'),
     (["--dim", "0", "adjoint", "L"], None, 2,
      '',
      'flag error: --dim expects an integer in 1..8, got 0\n'),

@@ -1,9 +1,10 @@
-"""The self-adjoint family, the distinguished lift, the regular projective
-lifting, the equivariance defect of the volume liftings and the Taylor
-expansion against the sympy oracle of perfbench/oracle.py, which shares no
-code with the engine.  The oracle reads the base weight l0 as 2/7, the weight
-L at its own sample value, and the generic volume as rho = exp(ell); the
-coordinate volume is its model with ell = 0."""
+"""The self-adjoint family, the distinguished lift, the restriction of the
+canonical, vol and projective lifts, the regular projective lifting, the
+equivariance defect and volume variation of the volume liftings and the
+Taylor expansion against the sympy oracle of perfbench/oracle.py, which
+shares no code with the engine.  The oracle reads the base weight l0 as 2/7,
+the weight L at its own sample value, and the generic volume as
+rho = exp(ell); the coordinate volume is its model with ell = 0."""
 
 import random
 from fractions import Fraction
@@ -12,17 +13,24 @@ import pytest
 
 pytest.importorskip("sympy")
 
-from denslift.equivariance import LiftingHandle, ad_on_lifting  # noqa: E402
+from denslift.equivariance import (  # noqa: E402
+    LiftingHandle,
+    ad_on_lifting,
+    divergence,
+    volume_variation,
+)
 from denslift.jets import DiffPolynomial  # noqa: E402
 from denslift.lifting import (  # noqa: E402
     VolLiftParams,
     VolumeForm,
+    canonical_lift,
     distinguished_lift,
     selfadjoint_family,
+    taylor_assemble,
     taylor_expand,
     vol_lift,
 )
-from denslift.projective import proj_regular_lift, proj_sa_polynomials  # noqa: E402
+from denslift.projective import proj_lift, proj_regular_lift, proj_sa_polynomials  # noqa: E402
 from denslift.scalars import Scalar  # noqa: E402
 
 from helpers import load_perfbench, weight_free_of_order  # noqa: E402
@@ -47,6 +55,13 @@ def _rational(rng: random.Random) -> Fraction:
 def _vol_params(rng: random.Random, n: int) -> VolLiftParams:
     return VolLiftParams.of(_rational(rng), [_rational(rng) for _ in range(n)],
                             [_rational(rng) for _ in range(n)])
+
+
+def _handles(rho: VolumeForm, params: VolLiftParams):
+    """The handle of each lifting kind with a volume variation, by base weight."""
+    return {"canonical": lambda w: LiftingHandle.canonical(w, rho),
+            "vol": lambda w: LiftingHandle.vol(w, rho, params),
+            "distinguished": lambda w: LiftingHandle.distinguished(w, rho)}
 
 
 class _CoordinateModel(oracle.Model):
@@ -90,10 +105,19 @@ def test_distinguished_lift_is_the_oracle_handle(rho):
             assert m.agrees(distinguished_lift(delta, w, rho), oracle.LAM, want), (dim, n, w)
 
 
+def test_canonical_and_vol_lifts_restrict(rho):
+    for rng, dim, n, delta in _cases(2006):
+        params = _vol_params(rng, n)
+        for w in BASE_WEIGHTS:
+            assert oracle.check_restricts(canonical_lift(delta, w, rho), delta), (dim, n, w)
+            assert oracle.check_restricts(vol_lift(delta, w, rho, params), delta), (dim, n, w)
+
+
 def test_proj_regular_lift_with_self_adjoint_weights():
     for rng, dim, n, delta in _cases(2003):
         free = {k: [_rational(rng) for _ in range(k // 2)] for k in range(2, n + 1)}
         for w in BASE_WEIGHTS:
+            assert oracle.check_restricts(proj_lift(delta, w), delta), (dim, n, w)
             polys = proj_sa_polynomials(n, w, free)
             got = proj_regular_lift(delta, w, polys)
             assert oracle.check_restricts(got, delta), (dim, n, w)
@@ -106,11 +130,24 @@ def test_ad_on_lifting_is_the_oracle_defect(rho, kind):
     checked as the one at 2/7 that it specializes to."""
     for rng, dim, n, delta in _cases(2004, orders=(1, 2, 3)):
         field = [DiffPolynomial.jet("X", (i,)) for i in range(1, dim + 1)]
-        params = _vol_params(rng, n)
-        make = {"canonical": lambda w: LiftingHandle.canonical(w, rho),
-                "vol": lambda w: LiftingHandle.vol(w, rho, params),
-                "distinguished": lambda w: LiftingHandle.distinguished(w, rho)}[kind]
+        make = _handles(rho, _vol_params(rng, n))[kind]
         symbolic, numeric = (ad_on_lifting(make(w), delta, field) for w in BASE_WEIGHTS)
+        assert symbolic.substitute_params({"l0": BASE_WEIGHTS[1]}) == numeric, (dim, n)
+        assert oracle.check_defect(delta, make(BASE_WEIGHTS[1]), field, numeric), (dim, n)
+
+
+@pytest.mark.parametrize("kind", ["canonical", "vol", "distinguished"])
+def test_volume_variation_is_the_oracle_defect(rho, kind):
+    """rho -> rho (1 + div_rho X) moves each lifting as ad_X does: the
+    variation is the ad_on_lifting defect, whose oracle is check_defect."""
+    for rng, dim, n, delta in _cases(2004, orders=(1, 2, 3)):
+        field = [DiffPolynomial.jet("X", (i,)) for i in range(1, dim + 1)]
+        params = _vol_params(rng, n)
+        make = _handles(rho, params)[kind]
+        h = divergence(field, rho)
+        symbolic, numeric = (volume_variation(kind, delta, w, rho, h, params)
+                             for w in BASE_WEIGHTS)
+        assert symbolic == ad_on_lifting(make(BASE_WEIGHTS[0]), delta, field), (dim, n)
         assert symbolic.substitute_params({"l0": BASE_WEIGHTS[1]}) == numeric, (dim, n)
         assert oracle.check_defect(delta, make(BASE_WEIGHTS[1]), field, numeric), (dim, n)
 
@@ -120,4 +157,6 @@ def test_taylor_expand_is_the_oracle_expansion(rho):
         params = _vol_params(rng, n)
         for w in BASE_WEIGHTS:
             lifted = vol_lift(delta, w, rho, params)
-            assert oracle.check_taylor(lifted, taylor_expand(lifted, w, rho)), (dim, n, w)
+            coeffs = taylor_expand(lifted, w, rho)
+            assert oracle.check_taylor(lifted, coeffs), (dim, n, w)
+            assert taylor_assemble(coeffs, w, rho) == lifted, (dim, n, w)

@@ -175,6 +175,7 @@ def test_pickle_and_deepcopy_round_trip():
     for value in (sym, poly, lift):
         assert pickle.loads(pickle.dumps(value)) == value
         assert copy.deepcopy(value) == value
+    assert hash(pickle.loads(pickle.dumps(poly))) == hash(copy.deepcopy(poly)) == hash(poly)
     assert pickle.loads(pickle.dumps(sym)).lower == (1,)
 
 
@@ -247,6 +248,8 @@ def test_powers_take_one_product_fewer_than_the_exponent(monkeypatch):
     assert p ** 0 == 1 and not products
     assert p ** 1 == p and not products
     assert p ** 3 == mul(mul(p, p), p) and len(products) == 2
+    with pytest.raises(ValueError, match="^negative powers of jet polynomials are not defined$"):
+        p ** -1
 
 
 # -- derive against a product-rule reference written here -------------------------

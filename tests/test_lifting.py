@@ -726,27 +726,34 @@ def test_every_lifting_operation_restricts_back():
 
 
 def test_every_lift_of_the_zero_operator_is_zero():
-    # lifting maps are linear
-    from denslift.projective import proj_lift, proj_regular_lift
+    # lifting maps are linear, and the zero operator has order 0
+    from denslift.equivariance import check_adX_variation_identity, volume_variation
+    from denslift.projective import (SymbolPoly, principal_symbol, proj_decompose,
+                                     proj_lift, proj_regular_lift)
 
     for dim in (1, 2):
         zero = DensityOperator.zero(dim)
+        field = [DiffPolynomial.jet("X", (i,)) for i in range(1, dim + 1)]
         for rho in (COORD, GEN):
             lifts = [canonical_lift(zero, l0, rho), distinguished_lift(zero, l0, rho),
                      vol_lift(zero, l0, rho, VolLiftParams.of(Fraction(1, 2), [1], [0])),
                      vol_lift(zero, l0, rho, VolLiftParams.of(0, [], [])),
-                     selfadjoint_family(zero, l0, rho), limit_lift(zero, rho)]
+                     selfadjoint_family(zero, l0, rho), limit_lift(zero, rho),
+                     volume_variation("canonical", zero, l0, rho, DiffPolynomial.jet("h"))]
             assert all(lift == zero for lift in lifts), rho
+            assert check_adX_variation_identity(zero, l0, rho, field, kind="distinguished")
         for lift in (first_order_lift(zero, l0, 2), second_order_canonical_lift(zero, l0),
                      proj_lift(zero, l0), proj_regular_lift(zero, l0, [[1]])):
             assert lift == zero
+        assert proj_decompose(zero, l0) == [zero]
+        assert principal_symbol(zero) == SymbolPoly(dim, {})
     with pytest.raises(ExceptionalWeightError):
         distinguished_lift(DensityOperator.zero(1), Fraction(1, 2), GEN)
     with pytest.raises(ExceptionalWeightError):
         selfadjoint_family(DensityOperator.zero(1), Fraction(1, 2), GEN)
-    with pytest.raises(OrderViolationError):
-        selfadjoint_family(DensityOperator.zero(1), l0, GEN,
-                           [DensityOperator.function(1, DiffPolynomial.jet("F"))])
+    for datum in (DensityOperator.function(1, DiffPolynomial.jet("F")), DensityOperator.zero(1)):
+        with pytest.raises(OrderViolationError, match=r"^even coefficient #1 has order 0 > -2$"):
+            selfadjoint_family(DensityOperator.zero(1), l0, GEN, [datum])
 
 
 def test_taylor_assemble_needs_a_coefficient():
@@ -756,3 +763,4 @@ def test_taylor_assemble_needs_a_coefficient():
 
 def test_a_zero_lift_is_a_strict_pair():
     assert is_strict_pair(D(1, 1), DensityOperator.zero(1))
+    assert is_strict_pair(DensityOperator.zero(2), DensityOperator.function(2, 3))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from denslift.equivariance import DivFreeTensor
-from denslift.errors import DimensionMismatchError, ZeroOperatorError
+from denslift.errors import DimensionMismatchError
 from denslift.jets import DiffPolynomial
 from denslift.operators import (
     Density,
@@ -163,8 +163,7 @@ def test_orders():
     assert op.total_order() == 3
     assert op.x_order() == 2
     assert DensityOperator.function(1, f).total_order() == 0
-    with pytest.raises(ZeroOperatorError):
-        DensityOperator.zero(1).total_order()
+    assert DensityOperator.zero(1).total_order() == 0
 
 
 def test_lie_operator_examples():
@@ -413,9 +412,7 @@ def test_constructor_and_order_guards():
     with pytest.raises(ValueError, match=r"^axis 3 outside 1\.\.2$"):
         DensityOperator.partial(2, 3)
     zero = DensityOperator.zero(2)
-    for order in (zero.x_order, zero.lam_degree):
-        with pytest.raises(ZeroOperatorError, match="^zero operator has no order$"):
-            order()
+    assert zero.x_order() == zero.lam_degree() == 0
     with pytest.raises(DimensionMismatchError,
                        match="^vector field has 1 components in dimension 2$"):
         lie_operator(2, [f])

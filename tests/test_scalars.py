@@ -20,6 +20,9 @@ def test_rational_constants():
     assert Scalar.of(Fraction(1, 2)) * 2 == Scalar.of(1)
     assert Scalar.of(0).is_zero()
     assert Scalar.of(7) / 7 == 1
+    assert Scalar.of(Fraction(-3, 4)).as_fraction() == Fraction(-3, 4)
+    with pytest.raises(ValueError, match="^scalar l0 is not a plain rational$"):
+        Scalar.param("l0").as_fraction()
 
 
 def test_gcd_cancellation_is_structural():
