@@ -6,6 +6,12 @@ multi-index recording how many times each axis has hit it.  DiffPolynomial is
 the free commutative ring they generate over the Scalar field, together with
 the total derivative that prolongs multi-indices via the Leibniz rule.
 
+A monomial is a tuple of (symbol, exponent) pairs sorted by symbol, and each
+symbol is a JetSymbol: a str that encodes (base, upper, lower) so that string
+order is their tuple order.  So monomial hashes, dict lookups and factor
+compares run on cached C strings, monomials sort and render the same in every
+process, and pickles carry the three fields.
+
 Symbols may carry a registered derivative rule (``w`` with dw = -w^2*y_xx
 encodes 1/y_x); such symbols never acquire raw multi-indices, every derivative
 goes through the rule.  Callers that work modulo an inverse relation such as
@@ -15,40 +21,57 @@ goes through the rule.  Callers that work modulo an inverse relation such as
 from __future__ import annotations
 
 import threading
+from bisect import bisect_right
 from fractions import Fraction
-from operator import itemgetter
 from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple
 
 from .errors import DuplicateSymbolError
 from .scalars import Scalar, _by_factor, collect, collect_products, mono_mul, render_sum
 
 
-class JetSymbol(tuple):
-    """One jet coordinate: the tuple (base name, sorted upper indices, sorted
-    multi-index), so hashing, equality and ordering run in C."""
+# Index i is stored as the character chr(i + 1), which bounds it.
+MAX_INDEX = 0x10FFFE
+
+
+def _char(i: int) -> str:
+    if not 0 <= i <= MAX_INDEX:
+        raise ValueError(f"jet index {i} outside 0..{MAX_INDEX}")
+    return chr(i + 1)
+
+
+class JetSymbol(str):
+    """One jet coordinate: a base name, sorted upper indices and a sorted
+    multi-index, stored as the string base + NUL + upper + NUL + lower with
+    index i written as chr(i + 1).  NUL sorts below every index character and
+    no base contains it, so string order is (base, upper, lower) tuple order,
+    and hashing (cached), equality and ordering run in C."""
 
     __slots__ = ()
 
-    def __new__(cls, base: str, upper: Tuple[int, ...] = (), lower: Tuple[int, ...] = ()):
-        return tuple.__new__(cls, (base, tuple(sorted(upper)), tuple(sorted(lower))))
+    def __new__(cls, base: str, upper: Iterable[int] = (), lower: Iterable[int] = ()):
+        if "\0" in base:
+            raise ValueError(f"jet symbol base {base!r} contains NUL")
+        upper, lower = ("".join([_char(i) for i in sorted(ix)]) for ix in (upper, lower))
+        return str.__new__(cls, base + "\0" + upper + "\0" + lower)
 
-    def __getnewargs__(self):
-        return tuple(self)
+    def __reduce__(self):
+        return JetSymbol, (self.base, self.upper, self.lower)
 
-    base = property(itemgetter(0))
-    upper = property(itemgetter(1))
-    lower = property(itemgetter(2))
+    base = property(lambda self: self.partition("\0")[0])
+    upper = property(lambda self: tuple([ord(c) - 1 for c in self.split("\0")[1]]))
+    lower = property(lambda self: tuple([ord(c) - 1 for c in self.rpartition("\0")[2]]))
 
     def with_derivative(self, axis: int) -> "JetSymbol":
-        return JetSymbol(self[0], self[1], self[2] + (axis,))
+        c = _char(axis)
+        head, _, lower = self.rpartition("\0")
+        k = bisect_right(lower, c)
+        return str.__new__(JetSymbol, head + "\0" + lower[:k] + c + lower[k:])
 
     def __str__(self) -> str:
-        s = self.base
-        if self.upper:
-            s += "[" + ",".join(str(i) for i in self.upper) + "]"
-        for i in self.lower:
-            s += f"_,{i}"
-        return s
+        base, upper, lower = self.split("\0")
+        if upper:
+            base += "[" + ",".join([str(ord(c) - 1) for c in upper]) + "]"
+        return base + "".join([f"_,{ord(c) - 1}" for c in lower])
 
     def __repr__(self) -> str:
         return f"JetSymbol(base={self.base!r}, upper={self.upper!r}, lower={self.lower!r})"
@@ -143,7 +166,7 @@ class DiffPolynomial:
 
     @staticmethod
     def jet(base: str, upper: Iterable[int] = (), lower: Iterable[int] = ()) -> "DiffPolynomial":
-        return DiffPolynomial.of_symbol(JetSymbol(base, tuple(upper), tuple(lower)))
+        return DiffPolynomial.of_symbol(JetSymbol(base, upper, lower))
 
     @staticmethod
     def of_symbol(sym: JetSymbol) -> "DiffPolynomial":
@@ -224,7 +247,7 @@ class DiffPolynomial:
             for k, (sym, exp) in enumerate(m):
                 ds = dsyms.get(sym)
                 if ds is None:
-                    rule = REGISTRY.rule_for(sym[0])
+                    rule = REGISTRY.rule_for(sym.base)
                     ds = dsyms[sym] = (rule(sym, axis).terms.items() if rule
                                        else ((sym.with_derivative(axis), 1),))
                 rest = m[:k] + (((sym, exp - 1),) if exp > 1 else ()) + m[k + 1:]

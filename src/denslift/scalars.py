@@ -27,8 +27,9 @@ from typing import Dict, Mapping, Union
 
 from .errors import CoefficientTooLargeError, ZeroDenominatorError
 
-# Factors in a monomial are distinct, so sorting on them alone gives the order
-# of the pairs without first testing factors for equality (JetSymbol.__eq__).
+# Factors in a monomial are distinct, so the (factor, exponent) pairs sort on the
+# factor alone, one string compare each (a parameter name, or a jets.JetSymbol),
+# where a tuple compare would first test the factors for equality.
 _by_factor = itemgetter(0)
 
 _FRACTION_ONE = Fraction(1)

@@ -96,6 +96,13 @@ def test_index_out_of_range():
         parse_operator("S[1,3]", cfg(dim=2))
 
 
+def test_a_huge_index_is_out_of_range_before_it_reaches_a_jet_symbol(capsys):
+    # 99999999999 is past the largest index a JetSymbol can store
+    for expr in ("S[99999999999] D1", "f_,99999999999"):
+        assert main(["adjoint", expr]) == 1
+        assert capsys.readouterr() == ("", "error: index 99999999999 outside 1..1\n")
+
+
 def test_syntax_error_carries_offset():
     with pytest.raises(ParseError) as err:
         parse_operator("D1 + ", cfg())

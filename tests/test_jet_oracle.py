@@ -92,7 +92,8 @@ def sympy_jet_data(data, dim):
 
 def sympy_jet(poly, dim):
     """An engine DiffPolynomial, read through .terms."""
-    return sum((sympy_scalar(c) * sympy.Mul(*(sympy_symbol(*sym, dim) ** e for sym, e in mono))
+    return sum((sympy_scalar(c) * sympy.Mul(*(sympy_symbol(sym.base, sym.upper, sym.lower, dim) ** e
+                                              for sym, e in mono))
                 for mono, c in poly.terms.items()), sympy.Integer(0))
 
 

@@ -3,14 +3,18 @@
 import copy
 import pickle
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import denslift
 from denslift.errors import DuplicateSymbolError, ZeroDenominatorError
-from denslift.jets import DiffPolynomial, JetSymbol, register_symbol
+from denslift.jets import MAX_INDEX, DiffPolynomial, JetSymbol, register_symbol
 from denslift.scalars import Scalar
 
 S11 = DiffPolynomial.jet("S", (1, 1))
@@ -199,6 +203,75 @@ def test_symbols_sort_by_base_then_upper_then_lower():
     assert str(poly) == ("S[1]^2 + S[1]_,2*T[1] + R[3]_,3 + S_,1_,1 + S[1] + S[1]_,2"
                          " + S[1,1]_,1 + S[1,2] + S[2] + T")
     assert repr(JetSymbol("S", (2, 1), (1,))) == "JetSymbol(base='S', upper=(1, 2), lower=(1,))"
+
+
+def _fields(sym):
+    return sym.base, sym.upper, sym.lower
+
+
+_INDEX = st.sampled_from([*range(13), MAX_INDEX])
+_INDICES = st.lists(_INDEX, max_size=3)
+# bases that share prefixes, so the NUL after a base decides their order
+_SYMBOLS = st.builds(JetSymbol, st.sampled_from(["S", "S1", "Sa", "a\x01", "a"]), _INDICES, _INDICES)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SYMBOLS, _SYMBOLS, _INDEX, st.integers(0, pickle.HIGHEST_PROTOCOL))
+def test_symbol_order_equality_and_hash_are_those_of_its_fields(a, b, axis, protocol):
+    assert (a < b) == (_fields(a) < _fields(b))
+    assert (a == b) == (_fields(a) == _fields(b))
+    same = JetSymbol(a.base, a.upper[::-1], a.lower[::-1])
+    assert same == JetSymbol(*_fields(a)) == a and hash(same) == hash(a)
+    assert pickle.loads(pickle.dumps(a, protocol)) == a
+    derived = a.with_derivative(axis)
+    assert type(derived) is JetSymbol
+    assert derived == JetSymbol(a.base, a.upper, a.lower + (axis,))
+
+
+@pytest.mark.parametrize("args, message", [
+    (("S\0",), r"^jet symbol base 'S\\x00' contains NUL$"),
+    (("a\0b", (1,)), "contains NUL"),
+    (("S", (-1,)), r"^jet index -1 outside 0\.\.1114110$"),
+    (("S", (1,), (MAX_INDEX + 1,)), r"^jet index 1114111 outside 0\.\.1114110$"),
+    (("S", (1, 99999999999)), "jet index 99999999999 outside"),
+])
+def test_symbol_constructor_rejects_what_would_break_its_order(args, message):
+    with pytest.raises(ValueError, match=message):
+        JetSymbol(*args)
+
+
+def test_with_derivative_rejects_an_axis_outside_the_index_range():
+    for axis in (-1, MAX_INDEX + 1):
+        with pytest.raises(ValueError, match=f"jet index {axis} outside"):
+            JetSymbol("S").with_derivative(axis)
+
+
+def test_pickles_built_in_another_process_load_equal():
+    # the other process builds its symbols in another order, under its own hash seed
+    from denslift.lifting import VolumeForm, canonical_lift
+    from denslift.operators import generic_second_order
+
+    package = Path(denslift.__file__).parent
+    code = (f"import pickle, sys; sys.path.insert(0, {str(package.parent)!r})\n"
+            "from denslift.jets import DiffPolynomial\n"
+            "from denslift.lifting import VolumeForm, canonical_lift\n"
+            "from denslift.operators import generic_second_order\n"
+            "from denslift.scalars import Scalar\n"
+            "poly = -DiffPolynomial.jet('T', (1,)) ** 2 + Scalar.param('l0') * DiffPolynomial.jet("
+            "'S', (1, 2), (1,)) + DiffPolynomial.jet('a', (), (2, 2, 1))\n"
+            "lift = canonical_lift(generic_second_order(2), Scalar.param('l0'), VolumeForm.generic())\n"
+            "sys.stdout.buffer.write(pickle.dumps((poly, lift)))")
+    done = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code],
+                          capture_output=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    lift = canonical_lift(generic_second_order(2), Scalar.param("l0"), VolumeForm.generic())
+    poly = (DiffPolynomial.jet("a", (), (1, 2, 2)) + DiffPolynomial.jet("S", (2, 1), (1,))
+            * Scalar.param("l0") - T1 ** 2)
+    loaded_poly, loaded_lift = pickle.loads(done.stdout)
+    assert loaded_poly == poly and hash(loaded_poly) == hash(poly) and str(loaded_poly) == str(poly)
+    # an operator is unhashable: hash its coefficients
+    assert loaded_lift == lift and str(loaded_lift) == str(lift)
+    assert hash(frozenset(loaded_lift.terms.items())) == hash(frozenset(lift.terms.items()))
 
 
 def test_substitute_jets_is_additive_on_large_polynomials():
