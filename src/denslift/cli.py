@@ -501,10 +501,10 @@ def _check_variation(cfg) -> Tuple[bool, str]:
     rng = random.Random(11)
     dim = min(cfg.dim, 2)
     rho = VolumeForm.generic()
-    for trial in range(4):
-        delta = _random_operator(rng, dim, 2).restrict(0)
-        if delta.is_zero():
-            continue
+    for _ in range(4):
+        delta = DensityOperator.zero(dim)
+        while delta.is_zero():   # four nonzero operators
+            delta = _random_operator(rng, dim, 2).restrict(0)
         X = [_random_poly(rng, dim) for _ in range(dim)]
         if not check_adX_variation_identity(delta, Scalar.param("l0"), rho, X):
             return False, f"identity failed at {delta.render()}"

@@ -22,7 +22,6 @@ from .lifting import (
     apply_family,
     canonical_lift,
     distinguished_coefficients,
-    family_polynomials,
     vol_family,
 )
 from .operators import (
@@ -121,11 +120,11 @@ def ad_on_lifting(handle: LiftingHandle, delta: DensityOperator,
     return ad_vf(components, lifted) - handle(moved)
 
 
-# (A, B, C, D) of each lifting kind with a volume variation, at delta's order
+# parity n and parameters (b, c, d) of each kind with a volume variation, at delta's order
 _FAMILIES = {
-    "canonical": lambda d, l0, p: family_polynomials(d.dim, l0, d.total_order(), ZERO),
-    "distinguished": lambda d, l0, p: distinguished_coefficients(d.dim, l0, d.total_order()),
-    "vol": vol_family,
+    "canonical": lambda d, l0, p: (d.total_order(), ZERO),
+    "distinguished": lambda d, l0, p: (d.total_order(), *distinguished_coefficients(l0)),
+    "vol": lambda d, l0, p: (p.n, *vol_family(d, p)),
 }
 
 
@@ -141,9 +140,9 @@ def volume_variation(kind: str, delta: DensityOperator, l0, rho: VolumeForm,
     l0 = Scalar.of(l0)
     if kind not in _FAMILIES:
         raise ValueError(f"no variation formula for lifting kind {kind!r}")
-    polys = _FAMILIES[kind](delta, l0, params)
+    fam = _FAMILIES[kind](delta, l0, params)
     commutator = DensityOperator.function(delta.dim, h).commutator(canonical_lift(delta, l0, rho))
-    return apply_family(polys, DensityOperator.lam_poly(delta.dim, [ZERO, commutator], l0))
+    return apply_family(DensityOperator.lam_poly(delta.dim, [ZERO, commutator], l0), l0, *fam)
 
 
 def check_adX_variation_identity(delta: DensityOperator, l0, rho: VolumeForm,
@@ -154,8 +153,8 @@ def check_adX_variation_identity(delta: DensityOperator, l0, rho: VolumeForm,
     l0 = Scalar.of(l0)
     if kind not in _FAMILIES:
         raise ValueError(f"identity check undefined for kind {kind!r}")
-    polys = _FAMILIES[kind](delta, l0, params)
-    handle = LiftingHandle(kind, l0, lambda d: apply_family(polys, canonical_lift(d, l0, rho)))
+    fam = _FAMILIES[kind](delta, l0, params)
+    handle = LiftingHandle(kind, l0, lambda d: apply_family(canonical_lift(d, l0, rho), l0, *fam))
     lhs = ad_on_lifting(handle, delta, components)
     rhs = volume_variation(kind, delta, l0, rho, divergence(components, rho), params)
     return lhs == rhs

@@ -5,13 +5,14 @@ the canonical lift conjugates by powers of a volume form (partials pick up
 (L - l0) * Gamma_i corrections with the flat connection Gamma_i of the
 volume), the regular family dresses that with adjoint and vertical terms, and
 the distinguished member is the unique (anti-)self-adjoint point of the line.
+``apply_family`` builds each member from its parameters (b, c, d) and parity n
+in closed form, as one polynomial in L - l0 with operator coefficients.
 Second-order operators get their geometric classification (tensor, upper
 connection, scale function) and the associated canonical self-adjoint pencil.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
@@ -135,50 +136,44 @@ def canonical_lift(delta: DensityOperator, l0, rho: VolumeForm) -> DensityOperat
     return delta.substitute_partials(covariant_partials(delta.dim, l0, rho))
 
 
-def family_polynomials(dim: int, l0: Scalar, n: int, b: Scalar, c: Sequence[Scalar] = (),
-                       d: Sequence[Scalar] = ()) -> Tuple[DensityOperator, ...]:
-    """Vertical polynomials (A, B, C, D) of the regular family member with
-    parameters (b, c, d): with u = L - l0, A = 1 - b u, B = (-1)^n b u,
-    C = sum_k c_k u^k and D = sum_k d_k u^k."""
-    return tuple(DensityOperator.lam_poly(dim, coeffs, l0) for coeffs in (
-        [ONE, -b], [ZERO, b * Fraction((-1) ** n)], [ZERO, *c], [ZERO, *d]))
-
-
-def apply_family(polys: Sequence[DensityOperator], lifted: DensityOperator) -> DensityOperator:
-    """A(L) P + B(L) P* + C(L) P(1) + D(L) P*(1) for polys = (A, B, C, D)."""
-    a_poly, b_poly, c_poly, d_poly = polys
-    out = lifted if a_poly == DensityOperator.identity(lifted.dim) else a_poly @ lifted
-    if not c_poly.is_zero():
-        out = out + c_poly * lifted.app1()
-    if not (b_poly.is_zero() and d_poly.is_zero()):   # P* only where it enters
-        lifted_adj = lifted.adjoint()
-        out = out + b_poly @ lifted_adj
-        if not d_poly.is_zero():
-            out = out + d_poly * lifted_adj.app1()
-    return out
+def apply_family(lifted: DensityOperator, l0: Scalar, n: int, b: Scalar,
+                 c: Sequence[Scalar] = (), d: Sequence[Scalar] = ()) -> DensityOperator:
+    """A(L) P + B(L) P* + C(L) P(1) + D(L) P*(1) with A = 1 - b u, B = (-1)^n b u,
+    C = sum_k c_k u^k and D = sum_k d_k u^k in u = L - l0: the polynomial in u
+    with coefficients P, -b (P - (-1)^n P*) + c_1 P(1) + d_1 P*(1), c_2 P(1) + ..."""
+    coeffs = [lifted] + [DensityOperator.zero(lifted.dim)] * max(len(c), 1)
+    adjoint = None if b.is_zero() and all(dk.is_zero() for dk in d) else lifted.adjoint()
+    if not b.is_zero():
+        coeffs[1] = (lifted + adjoint if n % 2 else lifted - adjoint) * -b
+    for ks, op in ((c, lifted), (d, adjoint)):
+        for k, kk in enumerate(ks, start=1):
+            if not kk.is_zero():
+                coeffs[k] = coeffs[k] + DensityOperator.function(lifted.dim, op.app1() * kk)
+    return DensityOperator.lam_poly(lifted.dim, coeffs, l0)
 
 
 def vol_lift(delta: DensityOperator, l0, rho: VolumeForm,
              params: VolLiftParams) -> DensityOperator:
-    """Regular lifting family A(L) P + B(L) P* + C(L) P(1) + D(L) P*(1)."""
+    """The member of the regular lifting family with params."""
     delta.require_weight_free()
     l0 = Scalar.of(l0)
-    return apply_family(vol_family(delta, l0, params), canonical_lift(delta, l0, rho))
+    b, c, d = vol_family(delta, params)
+    return apply_family(canonical_lift(delta, l0, rho), l0, params.n, b, c, d)
 
 
-def vol_family(delta: DensityOperator, l0: Scalar, params: VolLiftParams):
-    """(A, B, C, D) of the member with params, whose lists must cover delta's order."""
+def vol_family(delta: DensityOperator, params: VolLiftParams) -> VolLiftParams:
+    """params, whose lists must cover delta's order."""
     if params.n < delta.total_order():
         raise OrderViolationError(f"parameter lists of length {params.n} cannot lift "
                                   f"an order {delta.total_order()} operator")
-    return family_polynomials(delta.dim, l0, params.n, params.b, params.c, params.d)
+    return params
 
 
-def distinguished_coefficients(dim: int, l0: Scalar, n: int) -> Tuple[DensityOperator, ...]:
-    """Family polynomials of the member with b = -1/(2 l0 - 1):
-    A = (L + l0 - 1)/(2 l0 - 1) and B = +/-(l0 - L)/(2 l0 - 1)."""
+def distinguished_coefficients(l0: Scalar) -> VolLiftParams:
+    """Parameters of the distinguished member, b = -1/(2 l0 - 1) and no vertical
+    terms: A = (L + l0 - 1)/(2 l0 - 1) and B = +/-(l0 - L)/(2 l0 - 1)."""
     _reject_weights(l0, HALF)
-    return family_polynomials(dim, l0, n, -ONE / (2 * l0 - 1))
+    return VolLiftParams(ONE / (1 - 2 * l0), (), ())
 
 
 def distinguished_lift(delta: DensityOperator, l0, rho: VolumeForm) -> DensityOperator:
@@ -319,7 +314,7 @@ def selfadjoint_family(delta0: DensityOperator, l0, rho: VolumeForm,
     """
     delta0.require_weight_free()
     l0 = Scalar.of(l0)
-    _reject_weights(l0, HALF)
+    member = distinguished_coefficients(l0)
     n = delta0.total_order()
     pencil = canonical_lift(delta0, l0, rho)
     for k, op in enumerate(evens, start=1):
@@ -330,9 +325,7 @@ def selfadjoint_family(delta0: DensityOperator, l0, rho: VolumeForm,
         vanishing = [ZERO] * (2 * k - 2) + [-(l0 - HALF) ** 2, ZERO, ONE]
         pencil = pencil + (DensityOperator.lam_poly(pencil.dim, vanishing, HALF)
                            @ canonical_lift(op, HALF, rho))
-    adjoint = pencil.adjoint()
-    odd = (pencil + adjoint if n % 2 else pencil - adjoint) * (ONE / (2 * l0 - 1))
-    return DensityOperator.lam_poly(pencil.dim, [pencil, odd], l0)
+    return apply_family(pencil, l0, n, *member)
 
 
 def limit_lift(delta: DensityOperator, rho: VolumeForm) -> DensityOperator:

@@ -544,6 +544,10 @@ GOLDEN = [
     (["--params", "l0=1/3", "--volume", "generic", "lift", "canonical", "l0*D1"], None, 2,
      '',
      'flag error: --params cannot bind the base weight l0: use --lambda0\n'),
+    # a negative flag value is attached with '=' (see the next test for why)
+    (["--lambda0=-1/3", "lift", "second", "a D1 D1"], None, 0,
+     '9/20*a_,1_,1*L*L + 6/5*a_,1*L*D1 + a*D1*D1 + 3/20*a_,1_,1*L + 2/5*a_,1*D1\n',
+     ''),
 ]
 
 
@@ -552,6 +556,29 @@ def test_cli_golden_outputs(capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(stdin or ""))
         assert main(argv) == code, argv
         assert capsys.readouterr() == (out, err), argv
+
+
+def test_a_negative_flag_value_after_a_space_is_a_usage_error(capsys):
+    # argparse reads "-1/3" as an option, so --lambda0 gets no argument
+    with pytest.raises(SystemExit) as exc:
+        main(["--lambda0", "-1/3", "lift", "second", "a D1 D1"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.splitlines()[-1] == "denslift: error: argument --lambda0: expected one argument"
+
+
+def test_check_variation_tests_four_operators_per_dim(capsys, monkeypatch):
+    from denslift import equivariance
+
+    identity = equivariance.check_adX_variation_identity
+    for dim in (1, 2):
+        deltas = []
+        monkeypatch.setattr(equivariance, "check_adX_variation_identity",
+                            lambda delta, *args: deltas.append(delta) or identity(delta, *args))
+        assert main(["--dim", str(dim), "check", "variation"]) == 0
+        assert capsys.readouterr().out == \
+            "PASS variation: ad/variation identity on random inputs\n"
+        assert len(deltas) == 4 and not any(d.is_zero() for d in deltas), dim
 
 
 def test_cli_failed_check_exits_1(capsys, monkeypatch):

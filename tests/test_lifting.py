@@ -23,7 +23,6 @@ from denslift.lifting import (
     distinguished_coefficients,
     distinguished_lift,
     extract_geometric_data,
-    family_polynomials,
     first_order_lift,
     is_regular_pair,
     is_strict_pair,
@@ -56,6 +55,21 @@ def Lw(dim):
 
 def lam_shift(dim):
     return DensityOperator.lam_poly(dim, [-l0, Scalar.of(1)])
+
+
+def family_reference(lifted, w, n, b, c=(), d=()):
+    """A(L) o P + B(L) o P* + C(L) P(1) + D(L) P*(1) from the four vertical
+    polynomials in u = L - w, A = 1 - b u, B = (-1)^n b u, C = sum_k c_k u^k and
+    D = sum_k d_k u^k: a route independent of the closed form."""
+    dim = lifted.dim
+    A, B, C, D_ = (DensityOperator.lam_poly(dim, coeffs, w) for coeffs in
+                   ([1, -b], [0, b * (-1) ** n], [0, *c], [0, *d]))
+    adjoint = lifted.adjoint()
+    return A @ lifted + B @ adjoint + C * lifted.app1() + D_ * adjoint.app1()
+
+
+def distinguished_b(w):
+    return Scalar.of(-1) / (2 * w - 1)
 
 
 def test_canonical_lift_trivial_in_normal_coordinates():
@@ -422,8 +436,9 @@ def test_distinguished_lift_is_the_distinguished_family_member():
                     if delta.is_zero():
                         assert got == delta
                         continue
-                    polys = distinguished_coefficients(dim, w, delta.total_order())
-                    assert got == apply_family(polys, canonical_lift(delta, w, rho)), (delta, w)
+                    want = family_reference(canonical_lift(delta, w, rho), w,
+                                            delta.total_order(), distinguished_b(w))
+                    assert got == want, (delta, w)
 
 
 def test_selfadjoint_family_closed_form():
@@ -436,15 +451,44 @@ def test_selfadjoint_family_closed_form():
             evens = [weight_free_of_order(rng, dim, n - 2 * k) for k in range(1, n // 2 + 1)]
             for rho in (COORD, GEN):
                 for w in (l0, Scalar.of(Fraction(-3, 7))):
-                    polys = distinguished_coefficients(dim, w, n)
+                    b = distinguished_b(w)
                     lifted = canonical_lift(delta, w, rho)
-                    assert selfadjoint_family(delta, w, rho, []) == apply_family(polys, lifted)
+                    assert selfadjoint_family(delta, w, rho, []) == \
+                        family_reference(lifted, w, n, b)
                     for k, even in enumerate(evens, start=1):
                         vanishing = DensityOperator.lam_poly(
                             dim, [0] * (2 * k - 2) + [-(w - HALF) ** 2, 0, 1], HALF)
                         lifted = lifted + vanishing @ canonical_lift(even, HALF, rho)
                     got = selfadjoint_family(delta, w, rho, evens)
-                    assert got == apply_family(polys, lifted), (n, dim, rho, w)
+                    assert got == family_reference(lifted, w, n, b), (n, dim, rho, w)
+
+
+def test_the_family_map_matches_the_vertical_polynomials():
+    # rational, symbolic and partly zero (b, c, d) at both parities, on lifts
+    # and on a pencil that carries L, as volume_variation passes it
+    rng = random.Random(79)
+    h = DiffPolynomial.jet("h")
+    for n in (2, 3):
+        symbolic = VolLiftParams.of(Scalar.param("b"),
+                                    [Scalar.param(f"c{k}") for k in range(1, n + 1)],
+                                    [Scalar.param(f"d{k}") for k in range(1, n + 1)])
+        rational = VolLiftParams.of(Fraction(2, 5), [1, 0, Fraction(-3, 2)][:n],
+                                    [0, Fraction(4, 3), 2][:n])
+        adjoint_only = VolLiftParams.of(0, [0] * n, [Fraction(1, 2)] + [0] * (n - 1))
+        for dim in (1, 2):
+            delta = weight_free_of_order(rng, dim, n)
+            for rho in (COORD, GEN):
+                for w in (l0, Scalar.of(Fraction(-3, 7))):
+                    lifted = canonical_lift(delta, w, rho)
+                    commutator = DensityOperator.function(dim, h).commutator(lifted)
+                    pencil = DensityOperator.lam_poly(dim, [ZERO, commutator], w)
+                    for params in (symbolic, rational, adjoint_only):
+                        want = family_reference(lifted, w, n, *params)
+                        assert vol_lift(delta, w, rho, params) == want, (n, dim, rho, w)
+                        assert apply_family(lifted, w, n, *params) == want, (n, dim, rho, w)
+                        assert apply_family(pencil, w, n, *params) == \
+                            family_reference(pencil, w, n, *params), (n, dim, rho, w)
+                    assert distinguished_coefficients(w) == (distinguished_b(w), (), ())
 
 
 def test_selfadjoint_family_takes_one_adjoint_of_the_whole_pencil(monkeypatch):
@@ -469,8 +513,8 @@ def test_selfadjoint_family_takes_one_adjoint_of_the_whole_pencil(monkeypatch):
 
 
 def test_the_canonical_family_returns_the_lift_without_composing(monkeypatch):
-    # (A, B, C, D) = (1, 0, 0, 0): Horner's rule composes nothing while its value
-    # is zero, and A = 1 applies as the lift itself
+    # b = 0 and no c, d: the polynomial in L - l0 is the lift alone, and
+    # Horner's rule composes nothing while its value is zero
     rng = random.Random(71)
     lifts = [canonical_lift(weight_free_of_order(rng, dim, n), w, GEN)
              for dim, n in ((1, 2), (2, 3)) for w in (l0, Scalar.of(Fraction(2, 5)))]
@@ -480,10 +524,11 @@ def test_the_canonical_family_returns_the_lift_without_composing(monkeypatch):
                         lambda a, b: composes.append((a, b)) or compose(a, b))
     for lifted in lifts:
         for n in (1, 3):
-            assert apply_family(family_polynomials(lifted.dim, l0, n, ZERO), lifted) == lifted
+            assert apply_family(lifted, l0, n, ZERO) == lifted
+            assert apply_family(lifted, l0, n, ZERO, [ZERO] * n, [ZERO] * n) == lifted
     assert not composes
     b = Scalar.param("b")
-    assert apply_family(family_polynomials(1, l0, 2, b), lifts[0]) != lifts[0] and composes
+    assert apply_family(lifts[0], l0, 2, b) != lifts[0] and composes
 
 
 def test_selfadjoint_family_second_order_with_function():
