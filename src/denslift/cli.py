@@ -670,7 +670,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:   # argparse: 2 on a usage error, 0 after --help
+        return exc.code
     try:
         dim = getattr(args, "dim", 1)
         if not 1 <= dim <= MAX_DIM:

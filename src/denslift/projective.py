@@ -2,11 +2,12 @@
 
 The full symbol map sends an operator to a fiberwise-polynomial function on
 the cotangent bundle, contracting iterated divergences of its coefficient
-tensors against closed-form weight-dependent coefficients; its inverse is
-built by triangular descent on the degree.  Composing symbol and quantization
-at different weights draws strictly regular pencils equivariant under the
-projective algebra, whose comparison with the canonical self-adjoint pencil
-produces the Schwarzian cocycle in one dimension.
+tensors against closed-form weight-dependent coefficients; its inverse, the
+quantization, walks the same ladder of divergences of the symbol, with
+coefficients that a triangular recurrence gives in closed form.  Composing
+symbol and quantization at different weights draws strictly regular pencils
+equivariant under the projective algebra, whose comparison with the canonical
+self-adjoint pencil produces the Schwarzian cocycle in one dimension.
 """
 
 from __future__ import annotations
@@ -38,9 +39,14 @@ class SymbolPoly:
     __slots__ = ("dim", "terms")
 
     def __init__(self, dim: int, terms: Optional[Dict[Tuple[int, ...], DiffPolynomial]] = None):
+        if dim < 1:
+            raise ValueError("dimension must be at least 1")
         self.dim = dim
         # fiber variables commute, so keys equal up to order add up
         summed = collect((tuple(sorted(beta)), c) for beta, c in (terms or {}).items())
+        for beta in summed:
+            if beta and (beta[0] < 1 or beta[-1] > dim):
+                raise ValueError(f"term key {beta}: need axes in 1..{dim}")
         self.terms = {b: c for b, c in summed.items() if not c.is_zero()}
 
     def is_zero(self) -> bool:
@@ -125,6 +131,40 @@ def symbol_coeff(n: int, k: int, lam, dim: int) -> Scalar:
     return falling * Fraction((-1) ** k * comb(n, k), factorial(k) * comb(2 * n - k + dim, k))
 
 
+def _ladder(op: DensityOperator):
+    """(n, k, Div^k T_n) for each order-n coefficient tensor T_n of op and
+    k = 0..n, stopping at the first divergence that vanishes."""
+    for n, tensor in coefficient_tensors(op).items():
+        for k in range(n + 1):
+            if not tensor:
+                break
+            yield n, k, tensor
+            tensor = tensor_divergence(tensor)
+
+
+def _quantizer(m: int, lam, dim: int) -> List[Scalar]:
+    """q_0..q_m of the inverse symbol map on degree m (Lecomte & Ovsienko 1999):
+    q_k = C(m, k) a (a - 1)..(a - k + 1) / ((2m + d - 1)..(2m + d - k)) with
+    a = lam (d + 1) + m - 1, the solution of q_0 = 1 and
+    sum_(j <= k) q_j symbol_coeff(m - j, k - j) = 0 for k >= 1."""
+    arg = Scalar.of(lam) * (dim + 1) + (m - 1)
+    q = [ONE]
+    for k in range(1, m + 1):
+        q.append(q[-1] * (arg - (k - 1)) * Fraction(m - k + 1, k * (2 * m + dim - k)))
+    return q
+
+
+def _quantized(sym: SymbolPoly, scales) -> DensityOperator:
+    """The operator sum over m and k of F(L) Div^k S_m, S_m the degree-m piece
+    of sym, each divergence read as the operator with those coefficients and
+    F = scales(m)[k] given as {power of L: Scalar}."""
+    table = [scales(m) for m in range(sym.degree() + 1)]
+    ladder = _ladder(DensityOperator(sym.dim, {(0, beta): c for beta, c in sym.terms.items()}))
+    return DensityOperator(sym.dim, collect(
+        ((r, beta), c * (f * multinomial(beta))) for m, k, tensor in ladder
+        for beta, c in tensor.items() for r, f in table[m][k].items()))
+
+
 def full_symbol(op: DensityOperator, lam) -> SymbolPoly:
     """Projectively equivariant total symbol, normalized on principal parts:
     the k-fold divergence of the order-n coefficient tensor, weighted by
@@ -132,15 +172,10 @@ def full_symbol(op: DensityOperator, lam) -> SymbolPoly:
     lam = Scalar.of(lam)
 
     def pieces():
-        for n, tensor in coefficient_tensors(op).items():
-            current = tensor
-            for k in range(n + 1):
-                if not current:
-                    break
-                scale = symbol_coeff(n, k, lam, op.dim)
-                for beta, c in current.items():
-                    yield beta, c * scale * multinomial(beta)
-                current = tensor_divergence(current)
+        for n, k, tensor in _ladder(op):
+            scale = symbol_coeff(n, k, lam, op.dim)
+            for beta, c in tensor.items():
+                yield beta, c * scale * multinomial(beta)
 
     return SymbolPoly(op.dim, collect(pieces()))
 
@@ -152,23 +187,9 @@ def principal_symbol(op: DensityOperator) -> SymbolPoly:
 
 
 def quantize(sym: SymbolPoly, lam) -> DensityOperator:
-    """Inverse of the full symbol map by degree-descending triangular descent.
-
-    The top-degree part of the full symbol of an operator is its leading
-    coefficient itself, so each top-degree piece of the remaining symbol is
-    the operator with the same coefficients.
-    """
-    lam = Scalar.of(lam)
-    dim = sym.dim
-    out = DensityOperator.zero(dim)
-    remaining = sym
-    while not remaining.is_zero():
-        n = remaining.degree()
-        op_piece = DensityOperator(dim, {(0, beta): c for beta, c in remaining.terms.items()
-                                         if len(beta) == n})
-        out = out + op_piece
-        remaining = remaining - full_symbol(op_piece, lam)
-    return out
+    """Inverse of the full symbol map, in closed form: the degree-m piece S_m
+    goes to sum_k q_k(lam) Div^k S_m (see _quantizer)."""
+    return _quantized(sym, lambda m: [{0: q} for q in _quantizer(m, lam, sym.dim)])
 
 
 # -- projective liftings -------------------------------------------------------
@@ -216,30 +237,29 @@ def proj_regular_lift(delta: DensityOperator, l0,
                       weight_polys: Sequence[Sequence]) -> DensityOperator:
     """Regular projective lifting sum_k P_k(L) applied to the k-th part of
     proj_decompose, each P_k of degree <= k with P_k(l0) = 1 (missing ones
-    are 1): the degree-(n - k) piece of the weight-l0 full symbol is scaled
-    by P_k at the formal weight, and the sum is quantized once there; the
-    coefficient of its k-th power becomes that of L^k."""
+    are 1): the degree-m piece S_m of the weight-l0 full symbol, n - m = k,
+    goes to sum_j P_k(L) q_j(L) Div^j S_m, q_j the quantizer at the formal
+    weight, where it is a polynomial with rational coefficients."""
     l0 = Scalar.of(l0)
     delta.require_weight_free()
-    weight = Scalar.param(_WEIGHT)
-    scales = []
+    polys = []
     for k, coeffs in enumerate([[Scalar.of(c) for c in p] for p in weight_polys]):
         if len(coeffs) > k + 1:
             raise BadPolynomialError(f"P_{k} has degree {len(coeffs) - 1} > {k}")
-        scales.append(sum((c * weight ** j for j, c in enumerate(coeffs)), ZERO))
-        if scales[-1].substitute({_WEIGHT: l0}) != ONE:
+        if sum((c * l0 ** j for j, c in enumerate(coeffs)), ZERO) != ONE:
             raise BadPolynomialError(f"P_{k} is not normalized to 1 at the base weight")
+        polys.append(coeffs)
     n = delta.x_order()
-    sym = full_symbol(delta, l0)
-    quantized = quantize(SymbolPoly(delta.dim, {
-        beta: c * scales[n - len(beta)] if n - len(beta) < len(scales) else c
-        for beta, c in sym.terms.items()}), weight)
-    split: Dict[Tuple[int, Tuple[int, ...]], Dict] = {}
-    for (_, alpha), c in quantized.terms.items():
-        for mono, s in c.terms.items():
-            for k, sk in s.coefficients_in(_WEIGHT).items():
-                split.setdefault((k, alpha), {})[mono] = sk
-    return DensityOperator(delta.dim, {key: DiffPolynomial(t) for key, t in split.items()})
+    weight = Scalar.param(_WEIGHT)
+
+    def scales(m: int) -> List[Dict[int, Scalar]]:
+        # P_(n - m)(L) q_k(L) by power of L, q_k read off its numerator in L
+        p = polys[n - m] if n - m < len(polys) else [ONE]
+        return [collect((r + dict(mono).get(_WEIGHT, 0), c * f)
+                        for r, c in enumerate(p) for mono, f in q.num.items())
+                for q in _quantizer(m, weight, delta.dim)]
+
+    return _quantized(full_symbol(delta, l0), scales)
 
 
 def proj_sa_polynomials(n: int, l0,

@@ -202,19 +202,19 @@ def _submul(r, s: int, t, b, k: int) -> None:
 
 
 def _divexact(a, b, k: int):
-    """a / b in k >= 1 variables, where b divides a."""
+    """a / b in k variables, where b divides a."""
+    if not k:
+        return a // b
     if not a:
         return ()
     n = len(b) - 1
     lb = b[-1]
     if not n:
-        if k == 1:
-            return tuple([x // lb for x in a])
         return tuple([_divexact(x, lb, k - 1) for x in a])
     r = list(a)
     q = [0 if k == 1 else ()] * (len(a) - n)
     for i in range(len(q) - 1, -1, -1):
-        q[i] = t = r[i + n] // lb if k == 1 else _divexact(r[i + n], lb, k - 1)
+        q[i] = t = _divexact(r[i + n], lb, k - 1)
         _submul(r, i, t, b, k)
     return tuple(q)
 
@@ -252,12 +252,11 @@ def _coeff_gcd(p, k: int):
 def _gcd(a, b, k: int):
     """Greatest common divisor in Z[x1..xk], with a positive leading coefficient.
 
-    In two or more variables the primitive parts run through the
-    subresultant PRS (Brown & Traub 1971; Knuth, TAOCP vol. 2, 4.6.1,
-    Algorithm C): each remainder is divided exactly by g h^d, h is updated
-    by repeated exact division (Lazard), and the content is taken once, at
-    the end, so coefficients grow no further than the subresultants.  One
-    variable keeps the primitive PRS."""
+    The primitive parts run through the subresultant PRS (Brown & Traub
+    1971; Knuth, TAOCP vol. 2, 4.6.1, Algorithm C): each remainder is divided
+    exactly by g h^d, h is updated by repeated exact division (Lazard), and
+    the content is taken once, at the end, so coefficients grow no further
+    than the subresultants."""
     if not k:
         return gcd(a, b)
     if not a or not b:
@@ -280,11 +279,6 @@ def _gcd(a, b, k: int):
         if len(r) == 1:
             b = _one(k)
             break
-        if k == 1:
-            # the primitive PRS: one C-level gcd per step costs less than the
-            # subresultant bookkeeping on low-degree univariate inputs
-            a, b = b, _iquo(r, gcd(*r), 1)
-            continue
         m = g   # r is divisible by g h^d
         for _ in range(d):
             m = _mul(m, h, k - 1)
@@ -295,8 +289,8 @@ def _gcd(a, b, k: int):
             for _ in range(d - 1):
                 m = _divexact(_mul(m, g, k - 1), h, k - 1)
             h = m
-    if k > 1:   # the univariate sequence is primitive throughout
-        b = _divexact(b, (_coeff_gcd(b, k),), k)
+    cb = _coeff_gcd(b, k)
+    b = b if cb == one else _divexact(b, (cb,), k)
     if _lc(b, k) < 0:
         b = _scale(b, -1, k)
     return b if c == one else tuple([_mul(c, x, k - 1) for x in b])
@@ -340,21 +334,6 @@ def _embed(p, src, dst):
     if src and src[0] == dst[0]:
         return tuple([_embed(c, src[1:], dst[1:]) for c in p])
     return (_embed(p, src, dst[1:]),) if p else ()
-
-
-def _split(p, k: int, i: int) -> Dict[int, object]:
-    """p as {e: coefficient of the i-th variable to the e}, over the others."""
-    if not i:
-        return {e: c for e, c in enumerate(p) if c}
-    parts = [_split(c, k - 1, i - 1) if c else {} for c in p]
-    zero = () if k > 2 else 0
-    out = {}
-    for e in sorted(set().union(*parts)):
-        coeffs = [part.get(e, zero) for part in parts]
-        while not coeffs[-1]:
-            coeffs.pop()
-        out[e] = tuple(coeffs)
-    return out
 
 
 def _terms(p, names, mono=()):
@@ -443,16 +422,6 @@ def _finish(names, p: int, q: int, n, d) -> "Scalar":
     keep = [i in used for i in range(k)]
     return Scalar(tuple(v for v, u in zip(names, keep) if u), p, q,
                   _drop(n, keep), _drop(d, keep))
-
-
-def _make(names, p: int, q: int, n, d) -> "Scalar":
-    """The canonical Scalar (p/q) n/d for q > 0 and integer polynomials n != 0
-    and d with a positive leading coefficient."""
-    k = len(names)
-    n, d = _cancel(n, d, k)
-    m, e = _content(n, k), _content(d, k)
-    p, q = p * m, q * e
-    return _finish(names, p, q, _iquo(n, m, k), _iquo(d, e, k))
 
 
 def _common(a: "Scalar", b: "Scalar"):
@@ -713,24 +682,6 @@ class Scalar:
             raise ZeroDenominatorError(
                 f"substitution makes denominator {_pstr(self.den)} vanish")
         return horner(self._n, 0) * Fraction(self._p, self._q) / den
-
-    def coefficients_in(self, name: str) -> Dict[int, "Scalar"]:
-        """Coefficients of self as a polynomial in the parameter ``name``.
-
-        Raises ValueError when ``name`` occurs in the denominator.
-        """
-        names = self._vars
-        if name not in names:
-            return {0: self} if self._p else {}
-        k, i = len(names), names.index(name)
-        used: set = set()
-        _levels(self._d, k, 0, used)
-        if i in used:
-            raise ValueError(f"{self} is not polynomial in {name}")
-        keep = [j != i for j in range(k)]
-        rest, d = names[:i] + names[i + 1:], _drop(self._d, keep)
-        return {e: _make(rest, self._p, self._q, p, d)
-                for e, p in _split(self._n, k, i).items()}
 
     # -- display -----------------------------------------------------------
 

@@ -6,7 +6,9 @@ engine builds satisfies the conditions, and the members it builds from unit
 coefficient vectors are as many independent ones as the space has
 dimensions.  A parametrization that lost a direction fails the rank check.
 On the regular lifting line the oracle solves the (anti-)self-adjointness
-condition for b and finds exactly one point, the distinguished member."""
+condition for b and finds exactly one point, the distinguished member; for
+the regular projective liftings it solves for the weight polynomials P_k and
+finds exactly the span of ``proj_sa_polynomials``."""
 
 import random
 from fractions import Fraction
@@ -23,6 +25,7 @@ from denslift.lifting import (  # noqa: E402
     vol_lift,
 )
 from denslift.operators import DensityOperator  # noqa: E402
+from denslift.projective import proj_regular_lift, proj_sa_polynomials  # noqa: E402
 from denslift.scalars import Scalar  # noqa: E402
 
 from helpers import weight_free_of_order  # noqa: E402
@@ -45,11 +48,12 @@ def vertical_conditions(n: int, l0) -> sp.Matrix:
     return sp.Matrix(rows)
 
 
-def solve_affine(equations) -> sp.Set:
-    """The b that zero every equation, checked affine in b first."""
-    numerators = {sp.expand(sp.fraction(sp.cancel(e))[0]) for e in equations}
-    assert all(sp.Poly(e, B).degree() <= 1 for e in numerators)
-    return sp.linsolve(list(numerators) or [sp.S.Zero], [B])
+def solve_affine(equations, unknowns=(B,)) -> sp.Set:
+    """The points that zero every equation, checked affine in the unknowns
+    first; the equations come in lowest terms."""
+    numerators = {sp.expand(sp.fraction(sp.together(e))[0]) for e in equations}
+    assert all(sp.Poly(e, *unknowns).total_degree() <= 1 for e in numerators)
+    return sp.linsolve(list(numerators) or [sp.S.Zero], list(unknowns))
 
 
 # -- engine side ------------------------------------------------------------------
@@ -57,10 +61,10 @@ def solve_affine(equations) -> sp.Set:
 def _sympy(s: Scalar):
     """An engine Scalar through its num/den views, with l0 as the symbol L0."""
     def poly(terms):
-        return sum(sp.Rational(c.numerator, c.denominator)
-                   * sp.Mul(*(sp.Symbol(name) ** e for name, e in mono))
-                   for mono, c in terms.items())
-    return sp.cancel(poly(s.num) / poly(s.den))
+        return sp.Add(*(sp.Rational(c.numerator, c.denominator)
+                        * sp.Mul(*(sp.Symbol(name) ** e for name, e in mono))
+                        for mono, c in terms.items()))
+    return poly(s.num) if s.den == {(): 1} else sp.cancel(poly(s.num) / poly(s.den))
 
 
 def _coefficient_vector(op, n: int) -> sp.Matrix:
@@ -105,3 +109,42 @@ def test_the_regular_line_has_one_self_adjoint_point(n):
                                                  for c in poly.terms.values()}]
                 (point,), = solve_affine(equations)
                 assert sp.cancel(point + 1 / (2 * l0 - 1)) == 0, (dim, rho, weight)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_proj_sa_polynomials_span_all_regular_solutions(n):
+    # P_k = 1 + sum_r u_kr (L^r - l0^r) for k = 1..n: the lift is affine in
+    # the u_kr, and so is its (anti-)self-adjointness defect
+    rng = random.Random(89 + n)
+    keys = [(k, r) for k in range(1, n + 1) for r in range(1, k + 1)]
+    unknowns = [sp.Symbol(f"u{k}_{r}") for k, r in keys]
+    u = {key: Scalar.param(str(sym)) for key, sym in zip(keys, unknowns)}
+    free = [{k: [int(i == j) for j in range(k // 2)]} for k in range(2, n + 1)
+            for i in range(k // 2)]
+    for dim in (1, 2):
+        # a fresh jet at each lower order keeps every part of the lift nonzero
+        delta = weight_free_of_order(rng, dim, n) + DensityOperator(
+            dim, {(0, (1,) * m): DiffPolynomial.jet(f"B{m}") for m in range(n)})
+        for weight, l0 in ((Scalar.param("l0"), L0), (Fraction(2, 7), sp.Rational(2, 7))):
+            polys = [[1]] + [[1 - sum(u[k, r] * Scalar.of(weight) ** r for r in range(1, k + 1))]
+                             + [u[k, r] for r in range(1, k + 1)] for k in range(1, n + 1)]
+            lifted = proj_regular_lift(delta, weight, polys)
+            defect = lifted.adjoint() - lifted * (-1) ** n
+            (general,) = solve_affine([_sympy(c) for c in {c for poly in defect.terms.values()
+                                                           for c in poly.terms.values()}],
+                                      unknowns)
+            free_unknowns = sp.Tuple(*general).free_symbols & set(unknowns)
+            assert len(free_unknowns) == (n * n - n % 2) // 4 == len(free), (dim, weight)
+            # the engine's members, as u vectors: the L^r coefficients of P_k
+            members = []
+            for given in [{}] + free:
+                engine = proj_sa_polynomials(n, weight, given)
+                members.append(sp.Matrix([_sympy(engine[k][r]) if r < len(engine[k]) else 0
+                                          for k, r in keys]))
+            for v in members:
+                point = dict(zip(unknowns, v))
+                assert all(sp.cancel(g.subs(point) - point[x]) == 0
+                           for g, x in zip(general, unknowns)), (dim, weight)
+            directions = [v - members[0] for v in members[1:]]
+            assert not directions or sp.Matrix.hstack(*directions).rank(simplify=True) \
+                == len(free), (dim, weight)

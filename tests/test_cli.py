@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from denslift import cli
+from denslift import cli, equivariance
 from denslift.cli import (
     MAX_DIGITS,
     MAX_EXPONENT,
@@ -544,6 +544,23 @@ GOLDEN = [
     (["--params", "l0=1/3", "--volume", "generic", "lift", "canonical", "l0*D1"], None, 2,
      '',
      'flag error: --params cannot bind the base weight l0: use --lambda0\n'),
+    # _Parser._integer rejects a name or a fraction where it needs an integer
+    (["adjoint", "a^b"], None, 2,
+     '',
+     'syntax error: power needs a plain integer (at offset 2)\n'),
+    (["adjoint", "a^1/2"], None, 2,
+     '',
+     'syntax error: power needs a plain integer (at offset 2)\n'),
+    (["adjoint", "S[a]"], None, 2,
+     '',
+     'syntax error: tensor index must be an integer (at offset 2)\n'),
+    (["adjoint", "a_,b"], None, 2,
+     '',
+     'syntax error: derivative suffix needs an axis number (at offset 3)\n'),
+    # an empty --params chunk is skipped
+    (["--params", "k1=1,,k2=2", "adjoint", "k1 a"], None, 0,
+     'a\n',
+     ''),
     # a negative flag value is attached with '=' (see the next test for why)
     (["--lambda0=-1/3", "lift", "second", "a D1 D1"], None, 0,
      '9/20*a_,1_,1*L*L + 6/5*a_,1*L*D1 + a*D1*D1 + 3/20*a_,1_,1*L + 2/5*a_,1*D1\n',
@@ -560,11 +577,18 @@ def test_cli_golden_outputs(capsys, monkeypatch):
 
 def test_a_negative_flag_value_after_a_space_is_a_usage_error(capsys):
     # argparse reads "-1/3" as an option, so --lambda0 gets no argument
-    with pytest.raises(SystemExit) as exc:
-        main(["--lambda0", "-1/3", "lift", "second", "a D1 D1"])
+    assert main(["--lambda0", "-1/3", "lift", "second", "a D1 D1"]) == 2
     out, err = capsys.readouterr()
-    assert exc.value.code == 2 and out == ""
+    assert out == ""
     assert err.splitlines()[-1] == "denslift: error: argument --lambda0: expected one argument"
+
+
+def test_help_returns_0(capsys):
+    for argv, usage in ((["--help"], "usage: denslift [-h]"),
+                        (["adjoint", "-h"], "usage: denslift adjoint [-h]")):
+        assert main(argv) == 0, argv
+        out, err = capsys.readouterr()
+        assert out.startswith(usage) and err == "", argv
 
 
 def test_check_variation_tests_four_operators_per_dim(capsys, monkeypatch):
@@ -585,6 +609,42 @@ def test_cli_failed_check_exits_1(capsys, monkeypatch):
     monkeypatch.setitem(cli._CHECKS, "cocycle", lambda session: (False, "forced failure"))
     assert main(["check", "cocycle"]) == 1
     assert capsys.readouterr() == ("FAIL cocycle: forced failure\n", "")
+
+
+def _nonzero_defect(handle, delta, field):
+    return DensityOperator(delta.dim, {(0, (1,)): DiffPolynomial.jet("f")})
+
+
+# (suite, the engine attribute it calls, a failing stand-in, its FAIL message)
+_FAILING_ENGINE = [
+    ("adjoint-involution", (DensityOperator, "adjoint"), lambda self: self,
+     "weight generator adjoint"),
+    ("equivariance", (equivariance, "ad_on_lifting"), _nonzero_defect,
+     "nonzero defect term: f*D1"),
+    ("variation", (equivariance, "check_adX_variation_identity"),
+     lambda *args: False, "identity failed at 3/2*g_,1"),
+    ("sdiff-classify", (equivariance, "classify_sdiff_map"),
+     lambda *args: DensityOperator.identity(1), "identity map not equivariant"),
+    ("regular", (cli, "is_strict_pair"), lambda *args: False,
+     "canonical lift is not strictly regular"),
+    ("selfadjoint", (cli, "selfadjoint_family"), lambda delta, *args: delta,
+     "second-order family not self-adjoint"),
+    ("cocycle", (cli, "schwarzian_cocycle_check"), lambda *args: False,
+     "cocycle law failed for identity jets"),
+]
+
+
+@pytest.mark.parametrize("name, target, stand_in, message", _FAILING_ENGINE,
+                         ids=[row[0] for row in _FAILING_ENGINE])
+def test_each_check_suite_fails_when_its_engine_call_does(capsys, monkeypatch, name, target,
+                                                         stand_in, message):
+    monkeypatch.setattr(*target, stand_in)
+    assert main(["check", name]) == 1
+    assert capsys.readouterr() == (f"FAIL {name}: {message}\n", "")
+
+
+def test_every_check_suite_has_a_failing_case():
+    assert sorted(row[0] for row in _FAILING_ENGINE) == sorted(cli._CHECKS)
 
 
 def test_cli_calls_do_not_share_flags(capsys):
@@ -804,10 +864,7 @@ _MESSAGE = re.compile(r"(syntax error|flag error|error|denslift( \w+)?: error): 
 def test_main_never_ends_in_a_traceback(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:   # argparse: 2 on a usage error
-            code = exc.code
+        code = main(argv)
     err = err.getvalue()
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err, argv

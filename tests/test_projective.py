@@ -19,6 +19,7 @@ from denslift.operators import DensityOperator, generic_second_order
 from denslift.projective import (
     DiffeoJet1D,
     SymbolPoly,
+    _quantizer,
     coordinate_change_1d,
     full_symbol,
     proj_decompose,
@@ -81,6 +82,39 @@ def test_symbol_constructor_adds_colliding_keys():
     assert sym.terms == {(1, 2): a + b}
     assert sym.render() == "(a + b)*xi1*xi2"
     assert SymbolPoly(2, {(1, 2): a, (2, 1): -a}).is_zero()
+
+
+def test_quantizer_solves_the_inverse_recurrence():
+    # the quantization's closed form inverts the symbol map degree by degree:
+    # q_0 = 1 and sum_(j <= k) q_j symbol_coeff(m - j, k - j) = 0 for k >= 1
+    for dim in (1, 2, 3):
+        for m in range(7):
+            q = _quantizer(m, lam, dim)
+            assert len(q) == m + 1 and q[0] == 1, (dim, m)
+            for k in range(1, m + 1):
+                assert sum((q[j] * symbol_coeff(m - j, k - j, lam, dim) for j in range(k + 1)),
+                           Scalar.of(0)).is_zero(), (dim, m, k)
+
+
+def test_symbol_constructor_rejects_a_bad_dim_or_axis():
+    # at dim 1, xi^2 keyed (2,) and a constant keyed (0,) would render "3*xi + xi"
+    one, three = DiffPolynomial.const(1), DiffPolynomial.const(3)
+    with pytest.raises(ValueError, match=r"^term key \(2,\): need axes in 1\.\.1$"):
+        SymbolPoly(1, {(2,): one, (0,): three})
+    for key in ((0,), (0, 1), (1, 3)):
+        with pytest.raises(ValueError, match=r"need axes in 1\.\.2$"):
+            SymbolPoly(2, {key: one})
+    for dim in (0, -1):
+        with pytest.raises(ValueError, match="^dimension must be at least 1$"):
+            SymbolPoly(dim, {})
+
+
+def test_symbols_and_operators_are_not_ints():
+    # __eq__ returns NotImplemented for an int, so == falls back to identity
+    for value in (SymbolPoly(1, {(): DiffPolynomial.const(1)}), SymbolPoly(1),
+                  DensityOperator.identity(1), DensityOperator.zero(1)):
+        assert (value == 1) is False and (value == 0) is False
+        assert value != 1
 
 
 def test_quantize_second_order_line():
@@ -280,23 +314,26 @@ def test_proj_regular_lift_three_parameter_plane():
     assert lifted == expected
 
 
-def test_proj_regular_lift_quantizes_once(monkeypatch):
-    # one quantization at the formal weight, whatever the number of parts
+def test_proj_regular_lift_takes_one_full_symbol_and_no_quantize(monkeypatch):
+    # one full symbol at the base weight, whatever the number of parts, and
+    # the quantization in closed form with no call to quantize
     from denslift import projective
 
     rng = random.Random(79)
     calls = []
     monkeypatch.setattr(projective, "quantize",
-                        lambda sym, lam: calls.append(lam) or quantize(sym, lam))
+                        lambda sym, lam: calls.append("quantize") or quantize(sym, lam))
+    monkeypatch.setattr(projective, "full_symbol",
+                        lambda op, lam: calls.append(lam) or full_symbol(op, lam))
     for dim, n in ((1, 1), (1, 3), (2, 2), (2, 3)):
         delta = weight_free_of_order(rng, dim, n)
         for polys in ((), proj_sa_polynomials(n, l0, {2: [Fraction(1, 3)], 3: [2]})):
             calls.clear()
             lifted = proj_regular_lift(delta, l0, polys)
-            assert len(calls) == 1 and lifted.restrict(l0) == delta, (dim, n, polys)
+            assert calls == [l0] and lifted.restrict(l0) == delta, (dim, n, polys)
         calls.clear()
         proj_lift(delta, l0)
-        assert len(calls) == 1
+        assert calls == [l0]
 
 
 def test_proj_regular_lift_degree_guard():
