@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple
 
 from .errors import DuplicateSymbolError
-from .scalars import Scalar, _by_factor, collect, collect_products, mono_mul, render_sum
+from .scalars import Scalar, _by_factor, collect, collect_products, mono_mul, render_sum, settle
 
 
 # Index i is stored as the character chr(i + 1), which bounds it.
@@ -214,7 +214,7 @@ class DiffPolynomial:
         if o is None:
             return NotImplemented
         left = {m: [(0, c)] for m, c in self.terms.items()}
-        return DiffPolynomial(collect_products([{}], left, o.terms.items())[0])
+        return DiffPolynomial(settle(collect_products([{}], left, o.terms.items()))[0])
 
     __rmul__ = __mul__
 
@@ -259,7 +259,7 @@ class DiffPolynomial:
                     partials.setdefault(sym, {})[rest] = [(0, a)]
         for sym, left in partials.items():
             collect_products([out], left, dsyms[sym])
-        return DiffPolynomial(out)
+        return DiffPolynomial(settle([out])[0])
 
     def substitute_params(self, bindings: Mapping[str, Scalar]) -> "DiffPolynomial":
         return DiffPolynomial({m: c.substitute(bindings) for m, c in self.terms.items()})

@@ -7,6 +7,8 @@ symmetric derivative multi-indices D^alpha on the right.  Composition and
 the adjoint normal-order by the closed Leibniz sum D^alpha o c = sum over
 beta <= alpha of C(alpha, beta) d^(alpha - beta)(c) D^beta, each derivative
 of c taken once, and sum its products through ``scalars.collect_products``.
+A slot may stay an open integer sum over a whole compose, commutator or
+adjoint, which each settle once (``scalars.settle``) before building results.
 Composition merges the left factor's terms that share an alpha by jet
 monomial, as L is central, so one monomial product serves every L power; the
 adjoint makes one Leibniz pass per term and spreads it over the L powers of
@@ -27,7 +29,7 @@ from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatchError, HasWeightOperatorError
 from .jets import DiffPolynomial
-from .scalars import Scalar, collect, collect_products, render_sum
+from .scalars import Scalar, collect, collect_products, render_sum, settle
 
 TermKey = Tuple[int, Tuple[int, ...]]
 
@@ -141,6 +143,7 @@ class DensityOperator:
         """Normal form of self o other (see _compose_into)."""
         self._check_dim(other)
         out = _compose_into({}, self, other)
+        settle(out.values())
         return DensityOperator(self.dim, {k: DiffPolynomial(t) for k, t in out.items()})
 
     def adjoint(self) -> "DensityOperator":
@@ -152,6 +155,7 @@ class DensityOperator:
                 left = {(): [(j, Scalar.of(comb(r, j) * weight * (-1) ** (j + len(alpha))))
                              for j in range(r + 1)]}
                 collect_products([out.setdefault((j, beta), {}) for j in range(r + 1)], left, g)
+        settle(out.values())
         return DensityOperator(self.dim, {k: DiffPolynomial(t) for k, t in out.items()})
 
     def commutator(self, other: "DensityOperator") -> "DensityOperator":
@@ -161,6 +165,7 @@ class DensityOperator:
         self._check_dim(other)
         out = _compose_into({}, self, other, top=False)
         _compose_into(out, -other, self, top=False)
+        settle(out.values())
         return DensityOperator(self.dim, {k: DiffPolynomial(t) for k, t in out.items()})
 
     # -- restriction and application -----------------------------------------
@@ -258,7 +263,7 @@ class DensityOperator:
 
 def _compose_into(out: Dict[TermKey, dict], a: DensityOperator, b: DensityOperator,
                   top: bool = True) -> Dict[TermKey, dict]:
-    """Add a o b into out, {key: {jet monomial: Scalar}}, and return it;
+    """Add a o b into out, {key: {jet monomial: unsettled sum}}, and return it;
     top=False leaves out the top Leibniz terms (see _leibniz).  a's terms are
     grouped by alpha1, sharing one derivative table of each c2, and merged by
     jet monomial, so collect_products forms each m1 m2 once for all L powers."""

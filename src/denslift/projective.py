@@ -37,6 +37,7 @@ class SymbolPoly:
     """Polynomial in the cotangent fiber variables with jet coefficients."""
 
     __slots__ = ("dim", "terms")
+    _check_dim = DensityOperator._check_dim   # the same DimensionMismatchError
 
     def __init__(self, dim: int, terms: Optional[Dict[Tuple[int, ...], DiffPolynomial]] = None):
         if dim < 1:
@@ -61,6 +62,7 @@ class SymbolPoly:
     def __add__(self, other: "SymbolPoly") -> "SymbolPoly":
         if not isinstance(other, SymbolPoly):
             return NotImplemented
+        self._check_dim(other)
         return SymbolPoly(self.dim, collect(other.terms.items(), dict(self.terms)))
 
     def __neg__(self) -> "SymbolPoly":
@@ -71,6 +73,7 @@ class SymbolPoly:
 
     def __mul__(self, factor) -> "SymbolPoly":
         if isinstance(factor, SymbolPoly):
+            self._check_dim(factor)
             return SymbolPoly(self.dim, collect(
                 (b1 + b2, c1 * c2) for b1, c1 in self.terms.items()
                 for b2, c2 in factor.terms.items()))

@@ -67,7 +67,8 @@ def mono_mul(a, b):
 def collect_products(targets, left, right):
     """The one multiply-accumulate loop: for every (i, a1) in ``left[m1]`` and
     (m2, a2) in ``right``, add a1 * a2 at ``mono_mul(m1, m2)`` into ``targets[i]``;
-    return ``targets``.  Zero sums stay, as in ``collect``."""
+    return ``targets``.  A slot may hold an open sum (_Sum) until the caller passes
+    the targets to ``settle``, once, after its last call.  Zero sums stay."""
     for m1, row in left.items():
         for m2, a2 in right:
             m = mono_mul(m1, m2)
@@ -411,7 +412,7 @@ def _finish(names, p: int, q: int, n, d) -> "Scalar":
         p, q = p // h, q // h
     k = len(names)
     if k < 2:
-        if k and len(n) == 1 and len(d) == 1:
+        if not k or len(n) == 1 == len(d):
             return Scalar((), p, q, 1, 1)
         return Scalar(names, p, q, n, d)
     used: set = set()
@@ -485,18 +486,69 @@ def _plus(a: "Scalar", b: "Scalar", p2: int, q2: int) -> "Scalar":
     return _finish(names, m, l, _iquo(u, m, k), d)
 
 
-def _madd(s, a1: "Scalar", a2: "Scalar") -> "Scalar":
-    """s + a1 * a2, or a1 * a2 when s is None.  With a rational factor no
-    product Scalar is built: the other factor's fields enter _plus with the
-    product of the contents."""
+def _madd(s, a1: "Scalar", a2: "Scalar"):
+    """s + a1 * a2 in a kernel slot, or a1 * a2 when s is None (see _Sum)."""
     if s is None:
         return _times(a1, a2)
-    if not a1._vars:
-        return _plus(s, a2, a1._p * a2._p, a1._q * a2._q)
-    if not a2._vars:
-        return _plus(s, a1, a1._p * a2._p, a1._q * a2._q)
-    t = _times(a1, a2)
-    return _plus(s, t, t._p, t._q)
+    if type(s) is not _Sum:
+        if not (s._vars or a1._vars or a2._vars):
+            return _plus(s, a2, a1._p * a2._p, a1._q * a2._q)
+        s = _Sum(s)
+    s.add(a1, a2)
+    return s
+
+
+class _Sum:
+    """A kernel slot's open sum, opened by its second product unless the slot
+    stays rational: integers ``c`` in the parameter ``name`` (if any) over the
+    integer ``den``, which rationals and polynomials in ``name`` over constants
+    join with no gcd, and ``rest``, the Scalar sum (or None) of other products."""
+
+    __slots__ = ("name", "c", "den", "rest")
+
+    def __init__(self, s: "Scalar"):
+        flat = not s._vars or s._d == (1,)   # (1,) is a constant in one parameter only
+        self.name, self.den, self.rest = (s._vars, s._q, None) if flat else ((), 1, s)
+        self.c = ([s._p * x for x in s._n] if s._vars else [s._p]) if flat else []
+
+    def add(self, a1: "Scalar", a2: "Scalar") -> None:
+        if not a1._vars:   # a factor with parameters, if any, first
+            a1, a2 = a2, a1
+        v, w = a1._vars, a2._vars
+        if w:
+            n = _mul(a1._n, a2._n, 1) if v == w and a1._d == a2._d == (1,) else None
+        else:
+            n = (1,) if not v else a1._n if a1._d == (1,) else None
+        if n is None or v and self.name and v != self.name:
+            t, rest = _times(a1, a2), self.rest
+            self.rest = t if rest is None else _plus(rest, t, t._p, t._q)
+            return
+        q, den, c = a1._q * a2._q, self.den, self.c
+        if den % q:   # the common denominator grows to lcm(den, q)
+            g = q // gcd(den, q)
+            c = [y * g for y in c]
+            self.den = den = den * g
+        f = a1._p * a2._p * (den // q)
+        self.name = v or self.name
+        d = [y + f * z for y, z in zip(c, n)]
+        self.c = d if len(c) == len(n) else d + (c[len(n):] or [f * z for z in n[len(c):]])
+
+    def close(self) -> "Scalar":
+        c, rest = self.c, self.rest
+        while c and not c[-1]:
+            c.pop()
+        m = (gcd(*c) if c[-1] > 0 else -gcd(*c)) if c else 0
+        out = _finish(self.name, m, self.den, tuple([y // m for y in c]), (1,)) if c else ZERO
+        return out if rest is None else _plus(out, rest, rest._p, rest._q)
+
+
+def settle(targets):
+    """Close the open sums in the target dicts of collect_products; return them."""
+    for t in targets:
+        for m, v in t.items():
+            if type(v) is _Sum:
+                t[m] = v.close()
+    return targets
 
 
 def _times(a: "Scalar", b: "Scalar") -> "Scalar":

@@ -179,15 +179,15 @@ def random_l0_poly_data(rng):
             for _ in range(rng.randint(1, 3))}
 
 
-def random_weighted_operator_data(rng, dim):
-    """{(r, alpha): {x exponents: l0 data}} with L^0, L^1 and L^2 on one alpha
-    over shared x-monomials, plus one term on another alpha."""
+def random_weighted_operator_data(rng, dim, coeff=random_l0_poly_data):
+    """{(r, alpha): {x exponents: coeff(rng)}} with L^0, L^1 and L^2 on one
+    alpha over shared x-monomials, plus one term on another alpha."""
     alpha = tuple(rng.randint(1, dim) for _ in range(rng.randint(0, 2)))
     monos = [tuple(rng.randint(0, 2) for _ in range(dim)) for _ in range(3)]
-    data = {(r, alpha): {exps: random_l0_poly_data(rng)
+    data = {(r, alpha): {exps: coeff(rng)
                          for exps in rng.sample(monos, rng.randint(2, 3))} for r in range(3)}
     other = tuple(rng.randint(1, dim) for _ in range(rng.randint(0, 3)))
-    data.setdefault((rng.randint(0, 1), other), {monos[0]: random_l0_poly_data(rng)})
+    data.setdefault((rng.randint(0, 1), other), {monos[0]: coeff(rng)})
     return data
 
 
@@ -221,6 +221,74 @@ def test_compose_with_l0_coefficients_matches_sympy():
         b_sym = {key: sympy_l0_poly(p) for key, p in b_data.items()}
         expected = act(a_sym, act(b_sym, sympy_poly(f_data), W), W)
         assert sympy.expand(sympy_jet_poly(out.coeff) - expected) == 0
+
+
+# -- coefficients in l0 or k1, or over 2 l0 - 1 ------------------------------------
+# The kernel sums products of polynomials in one parameter as integers.  A
+# factor 1/(2 l0 - 1) takes a product to the open sum's Scalar rest, and a
+# slot that began in l0 may meet k1, which goes there too.
+
+K1 = sympy.Symbol("k1")
+
+
+def random_mixed_poly_data(rng):
+    """(l0 data, shape): the data as a polynomial in l0, the same in k1, or in
+    l0 over 2 l0 - 1."""
+    return random_l0_poly_data(rng), rng.choice(["l0", "k1", "over"])
+
+
+def engine_mixed_poly(data):
+    l0, k1 = Scalar.param("l0"), Scalar.param("k1")
+    out = DiffPolynomial.zero()
+    for exps, (coeffs, shape) in data.items():
+        x = k1 if shape == "k1" else l0
+        scalar = sum((c * x ** e for e, c in coeffs.items()), Scalar.of(0))
+        out = out + engine_poly({exps: Fraction(1)}) * (
+            scalar / (2 * l0 - 1) if shape == "over" else scalar)
+    return out
+
+
+def sympy_mixed_poly(data):
+    total = sympy.Integer(0)
+    for exps, (coeffs, shape) in data.items():
+        poly = sympy_l0_poly({exps: coeffs})
+        total += (poly.subs(L0, K1) if shape == "k1" else
+                  poly / (2 * L0 - 1) if shape == "over" else poly)
+    return total
+
+
+def over_one_denominator(expr):
+    """The expanded numerator of expr brought over one denominator: 0 exactly
+    when the rational function expr is 0."""
+    return sympy.expand(sympy.numer(sympy.together(expr)))
+
+
+def mixed_case(seed):
+    """Two operators with mixed coefficients, as engine objects and as sympy
+    terms, and a test density f over x."""
+    rng = random.Random(seed)
+    dim = rng.randint(1, 2)
+    a_data, b_data = (random_weighted_operator_data(rng, dim, random_mixed_poly_data)
+                      for _ in range(2))
+    ops = [DensityOperator(dim, {key: engine_mixed_poly(p) for key, p in data.items()})
+           for data in (a_data, b_data)]
+    syms = [{key: sympy_mixed_poly(p) for key, p in data.items()} for data in (a_data, b_data)]
+    return ops, syms, random_poly_data(rng, dim, 4)
+
+
+def test_compose_with_mixed_coefficients_matches_sympy():
+    (A, B), (a_sym, b_sym), f_data = mixed_case("compose-mixed")
+    out = (A @ B).apply(Density(engine_poly(f_data), Scalar.param("w")))
+    expected = act(a_sym, act(b_sym, sympy_poly(f_data), W), W)
+    assert over_one_denominator(sympy_jet_poly(out.coeff) - expected) == 0
+
+
+def test_commutator_with_mixed_coefficients_matches_sympy():
+    (A, B), (a_sym, b_sym), f_data = mixed_case("commutator-mixed")
+    out = A.commutator(B).apply(Density(engine_poly(f_data), Scalar.param("w")))
+    f = sympy_poly(f_data)
+    expected = act(a_sym, act(b_sym, f, W), W) - act(b_sym, act(a_sym, f, W), W)
+    assert over_one_denominator(sympy_jet_poly(out.coeff) - expected) == 0
 
 
 # -- commutators and the Lie action ---------------------------------------------

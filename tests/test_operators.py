@@ -438,3 +438,43 @@ def test_mixed_type_arithmetic_scales_by_coefficients_and_nothing_else():
         with pytest.raises(TypeError, match=rf"unsupported operand type\(s\) for \{sign}:"):
             {"*": lambda: left * right, "+": lambda: left + right,
              "-": lambda: left - right}[sign]()
+
+
+def test_no_open_sum_escapes_the_kernel(monkeypatch):
+    # coefficients in l0, in k1 and over 2 l0 - 1 open sums in the multiply-add
+    # kernel; each caller settles them before it builds a DiffPolynomial
+    from denslift import scalars
+
+    opened = []
+
+    class Counted(scalars._Sum):
+        def __init__(self, s):
+            opened.append(s)
+            super().__init__(s)
+
+    monkeypatch.setattr(scalars, "_Sum", Counted)
+    rng = random.Random("open sums")
+    l0, k1 = Scalar.param("l0"), Scalar.param("k1")
+    factors = [Scalar.of(1), l0, l0 * l0 - 3, k1, k1 * k1 + l0, 1 / (2 * l0 - 1),
+               (l0 + 1) / (2 * l0 - 1)]
+    # w is ruled (dw = -w^2 y_,11): derive writes y_,1's derivative of w^2 y_,1
+    # directly and adds w's by the kernel, both at w^2 y_,11
+    w, y1 = DiffPolynomial.jet("w"), DiffPolynomial.jet("y", (), (1,))
+    ruled = w * w * y1 * l0 + w * k1
+    assert ruled.derive(1) == w * w * y1.derive(1) * (l0 - k1) - 2 * w ** 3 * y1 * y1.derive(1) * l0
+
+    def spread(c):
+        c = c + ruled * rng.choice(factors)
+        return DiffPolynomial({m: s * rng.choice(factors) for m, s in c.terms.items()})
+
+    def coefficients(value):
+        polys = value.terms.values() if isinstance(value, DensityOperator) else [value]
+        return [s for p in polys for s in p.terms.values()]
+
+    for _ in range(6):
+        dim = rng.randint(1, 2)
+        a, b = (random_operator(rng, dim).map_coefficients(spread) for _ in range(2))
+        p, q = spread(random_poly(rng, dim)), spread(random_poly(rng, dim))
+        for value in (a @ b, a.commutator(b), a.adjoint(), p * q, p.derive(1), q.derive(dim)):
+            assert all(type(s) is Scalar for s in coefficients(value)), value
+    assert opened

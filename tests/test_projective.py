@@ -7,6 +7,7 @@ import pytest
 
 from denslift.errors import (
     BadPolynomialError,
+    DimensionMismatchError,
     DimensionNotOneError,
     ExceptionalWeightError,
     HasWeightOperatorError,
@@ -107,6 +108,19 @@ def test_symbol_constructor_rejects_a_bad_dim_or_axis():
     for dim in (0, -1):
         with pytest.raises(ValueError, match="^dimension must be at least 1$"):
             SymbolPoly(dim, {})
+
+
+def test_symbols_and_operators_refuse_a_dimension_mismatch():
+    # a dim-2 and a dim-1 value never add, subtract or multiply, in either order
+    pairs = [(SymbolPoly(2, {(1,): a}), SymbolPoly(1, {(1,): b})),
+             (DensityOperator(2, {(0, (1,)): a}), DensityOperator(1, {(0, (1,)): b}))]
+    for two, one in pairs:
+        for left, right in ((two, one), (one, two)):
+            for op in (lambda: left + right, lambda: left - right,
+                       lambda: left * right if isinstance(left, SymbolPoly) else left @ right):
+                with pytest.raises(DimensionMismatchError,
+                                   match=rf"^dim {left.dim} vs {right.dim}$"):
+                    op()
 
 
 def test_symbols_and_operators_are_not_ints():

@@ -240,18 +240,19 @@ def test_tracer_classifies_denominators_through_the_den_view():
 
 
 def test_collect_products_accumulates_into_each_target():
-    from denslift.scalars import collect_products
+    from denslift.scalars import collect_products, settle
 
     x, x2 = (("x", 1),), (("x", 2),)
     left = {x: [(0, Scalar.of(2)), (1, l0)], (): [(1, Scalar.of(3))]}
     right = [((), Scalar.of(5)), (x, Scalar.of(7))]
     targets = [{}, {x: Scalar.of(1)}]
     assert collect_products(targets, left, right) is targets
+    assert settle(targets) is targets
     assert targets[0] == {x: Scalar.of(10), x2: Scalar.of(14)}
     # x is hit twice in target 1, as x * 1 and 1 * x, on top of its prior 1
     assert targets[1] == {x: 5 * l0 + 22, x2: 7 * l0, (): Scalar.of(15)}
     # a sum that cancels keeps its key with a zero value, as collect's do
-    zero = collect_products([{}], {x: [(0, 7 * l0)], (): [(0, -5 * l0)]}, right)[0]
+    zero = settle(collect_products([{}], {x: [(0, 7 * l0)], (): [(0, -5 * l0)]}, right))[0]
     assert zero == {x: Scalar.of(0), x2: 49 * l0, (): -25 * l0}
     assert x in zero and zero[x].is_zero()
 
@@ -283,20 +284,62 @@ def madd_operands(draw):
     return content * (poly(l0) + poly(k1) * l0) / draw(st.sampled_from([1, 2 * l0 - 1, k1 + l0]))
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.sampled_from(["empty", "zero", "cancel", "drawn"]),
-       madd_operands(), madd_operands(), madd_operands())
-def test_multiply_add_matches_the_scalar_route(slot, a, b, drawn):
-    from denslift.scalars import _madd, collect_products
+SLOTS = st.sampled_from(["empty", "zero", "cancel", "drawn"])
 
-    s = {"empty": None, "zero": Scalar.of(0), "cancel": -(b * a), "drawn": drawn}[slot]
+
+def _slot(kind, drawn, cancels):
+    return {"empty": None, "zero": Scalar.of(0), "cancel": -cancels, "drawn": drawn}[kind]
+
+
+@settings(max_examples=300, deadline=None)
+@given(SLOTS, madd_operands(), madd_operands(), madd_operands())
+def test_multiply_add_matches_the_scalar_route(slot, a, b, drawn):
+    from denslift.scalars import _madd, collect_products, settle
+
+    s = _slot(slot, drawn, b * a)
     want = a * b if s is None else s + a * b
-    assert fields(_madd(s, a, b)) == fields(want)
+    assert fields(settle([{(): _madd(s, a, b)}])[0][()]) == fields(want)
     # through the kernel: a sum that cancels stays in the target as zero
-    target = collect_products([{} if s is None else {(): s}], {(): [(0, a)]}, [((), b)])[0]
+    target = settle(collect_products([{} if s is None else {(): s}], {(): [(0, a)]}, [((), b)]))[0]
     assert list(target) == [()] and fields(target[()]) == fields(want)
     if slot == "cancel":
         assert target[()].is_zero()
+
+
+@settings(max_examples=150, deadline=None)
+@given(SLOTS, madd_operands(), st.lists(st.tuples(madd_operands(), madd_operands()),
+                                        min_size=1, max_size=6))
+def test_an_open_sum_settles_to_the_scalar_route(slot, drawn, products):
+    from denslift.scalars import _madd, settle
+
+    s = _slot(slot, drawn, sum((a * b for a, b in products), Scalar.of(0)))
+    want = s
+    for a, b in products:
+        want = a * b if want is None else want + a * b
+        s = _madd(s, a, b)
+    assert fields(settle([{(): s}])[0][()]) == fields(want)
+    if slot == "cancel":
+        assert want.is_zero()
+
+
+def test_an_open_sum_switches_parameter_and_cancels():
+    from denslift.scalars import _madd, settle
+
+    half, third = Scalar.of(F(1, 2)), Scalar.of(F(1, 3))
+    cases = [
+        # l0, then k1: the k1 product goes to the Scalar rest
+        [(l0, half), (l0 * l0 + 1, third), (k1, 3 * k1 - 1), (half, third)],
+        # rationals first, then a parameter, then a denominator in it
+        [(half, third), (third, third), (k1 + 1, half), (l0 / (2 * l0 - 1), k1)],
+        # a sum that cancels to zero across both parameters
+        [(l0, k1), (half, l0 * l0), (-l0, k1), (-half, l0 * l0)],
+    ]
+    for products in cases:
+        s, want = None, Scalar.of(0)
+        for a, b in products:
+            s, want = _madd(s, a, b), want + a * b
+        assert fields(settle([{(): s}])[0][()]) == fields(want)
+    assert want.is_zero()
 
 
 # sorted, so a cut of the list splits it into two runs that concatenate
