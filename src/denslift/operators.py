@@ -7,8 +7,7 @@ symmetric derivative multi-indices D^alpha on the right.  Composition and
 the adjoint normal-order by the closed Leibniz sum D^alpha o c = sum over
 beta <= alpha of C(alpha, beta) d^(alpha - beta)(c) D^beta, each derivative
 of c taken once, and sum its products through ``scalars.collect_products``.
-A slot may stay an open integer sum over a whole compose, commutator or
-adjoint, which each settle once (``scalars.settle``) before building results.
+Compose, commutator and adjoint each settle their open sums once (``scalars.settle``).
 Composition merges the left factor's terms that share an alpha by jet
 monomial, as L is central, so one monomial product serves every L power; the
 adjoint makes one Leibniz pass per term and spreads it over the L powers of

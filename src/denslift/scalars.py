@@ -67,14 +67,23 @@ def mono_mul(a, b):
 def collect_products(targets, left, right):
     """The one multiply-accumulate loop: for every (i, a1) in ``left[m1]`` and
     (m2, a2) in ``right``, add a1 * a2 at ``mono_mul(m1, m2)`` into ``targets[i]``;
-    return ``targets``.  A slot may hold an open sum (_Sum) until the caller passes
-    the targets to ``settle``, once, after its last call.  Zero sums stay."""
+    return ``targets``.  Zero sums stay.  A slot not all rational becomes an open
+    sum (_Sum) at its second product, listed under the key None until ``settle``."""
     for m1, row in left.items():
         for m2, a2 in right:
             m = mono_mul(m1, m2)
             for i, a1 in row:
                 t = targets[i]
-                t[m] = _madd(t.get(m), a1, a2)
+                s = t.get(m)
+                if s is None:
+                    t[m] = _times(a1, a2)
+                elif type(s) is _Sum:
+                    s.add(a1, a2)
+                elif s._vars or a1._vars or a2._vars:
+                    t[m] = _Sum(s, a1, a2)
+                    t.setdefault(None, []).append(m)
+                else:   # the rational product enters _plus unbuilt, as its content
+                    t[m] = _plus(s, a2, a1._p * a2._p, a1._q * a2._q)
     return targets
 
 
@@ -486,30 +495,18 @@ def _plus(a: "Scalar", b: "Scalar", p2: int, q2: int) -> "Scalar":
     return _finish(names, m, l, _iquo(u, m, k), d)
 
 
-def _madd(s, a1: "Scalar", a2: "Scalar"):
-    """s + a1 * a2 in a kernel slot, or a1 * a2 when s is None (see _Sum)."""
-    if s is None:
-        return _times(a1, a2)
-    if type(s) is not _Sum:
-        if not (s._vars or a1._vars or a2._vars):
-            return _plus(s, a2, a1._p * a2._p, a1._q * a2._q)
-        s = _Sum(s)
-    s.add(a1, a2)
-    return s
-
-
 class _Sum:
-    """A kernel slot's open sum, opened by its second product unless the slot
-    stays rational: integers ``c`` in the parameter ``name`` (if any) over the
-    integer ``den``, which rationals and polynomials in ``name`` over constants
-    join with no gcd, and ``rest``, the Scalar sum (or None) of other products."""
+    """A kernel slot's open sum: integers ``c`` in the parameter ``name`` (if any)
+    over the integer ``den``, which rationals and polynomials in ``name`` over
+    constants join with no gcd, and ``rest``, the Scalar sum of all others."""
 
     __slots__ = ("name", "c", "den", "rest")
 
-    def __init__(self, s: "Scalar"):
+    def __init__(self, s: "Scalar", a1: "Scalar", a2: "Scalar"):
         flat = not s._vars or s._d == (1,)   # (1,) is a constant in one parameter only
-        self.name, self.den, self.rest = (s._vars, s._q, None) if flat else ((), 1, s)
+        self.name, self.den, self.rest = (s._vars, s._q, ZERO) if flat else ((), 1, s)
         self.c = ([s._p * x for x in s._n] if s._vars else [s._p]) if flat else []
+        self.add(a1, a2)
 
     def add(self, a1: "Scalar", a2: "Scalar") -> None:
         if not a1._vars:   # a factor with parameters, if any, first
@@ -520,8 +517,8 @@ class _Sum:
         else:
             n = (1,) if not v else a1._n if a1._d == (1,) else None
         if n is None or v and self.name and v != self.name:
-            t, rest = _times(a1, a2), self.rest
-            self.rest = t if rest is None else _plus(rest, t, t._p, t._q)
+            t = _times(a1, a2)
+            self.rest = _plus(self.rest, t, t._p, t._q)
             return
         q, den, c = a1._q * a2._q, self.den, self.c
         if den % q:   # the common denominator grows to lcm(den, q)
@@ -537,17 +534,19 @@ class _Sum:
         c, rest = self.c, self.rest
         while c and not c[-1]:
             c.pop()
-        m = (gcd(*c) if c[-1] > 0 else -gcd(*c)) if c else 0
-        out = _finish(self.name, m, self.den, tuple([y // m for y in c]), (1,)) if c else ZERO
-        return out if rest is None else _plus(out, rest, rest._p, rest._q)
+        if not c:
+            return rest
+        m = gcd(*c) if c[-1] > 0 else -gcd(*c)
+        out = _finish(self.name, m, self.den, tuple([y // m for y in c]), (1,))
+        return _plus(out, rest, rest._p, rest._q)
 
 
 def settle(targets):
     """Close the open sums in the target dicts of collect_products; return them."""
     for t in targets:
-        for m, v in t.items():
-            if type(v) is _Sum:
-                t[m] = v.close()
+        if None in t:
+            for m in t.pop(None):
+                t[m] = t[m].close()
     return targets
 
 

@@ -448,9 +448,9 @@ def test_no_open_sum_escapes_the_kernel(monkeypatch):
     opened = []
 
     class Counted(scalars._Sum):
-        def __init__(self, s):
+        def __init__(self, s, a1, a2):
             opened.append(s)
-            super().__init__(s)
+            super().__init__(s, a1, a2)
 
     monkeypatch.setattr(scalars, "_Sum", Counted)
     rng = random.Random("open sums")

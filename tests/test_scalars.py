@@ -288,19 +288,28 @@ SLOTS = st.sampled_from(["empty", "zero", "cancel", "drawn"])
 
 
 def _slot(kind, drawn, cancels):
-    return {"empty": None, "zero": Scalar.of(0), "cancel": -cancels, "drawn": drawn}[kind]
+    """A kernel target dict whose slot () holds the seed value, if any."""
+    s = {"empty": None, "zero": Scalar.of(0), "cancel": -cancels, "drawn": drawn}[kind]
+    return {} if s is None else {(): s}
+
+
+def _madd(t, a, b):
+    """Add a * b into the slot () of the kernel target dict t."""
+    from denslift.scalars import collect_products
+
+    collect_products([t], {(): [(0, a)]}, [((), b)])
 
 
 @settings(max_examples=300, deadline=None)
 @given(SLOTS, madd_operands(), madd_operands(), madd_operands())
 def test_multiply_add_matches_the_scalar_route(slot, a, b, drawn):
-    from denslift.scalars import _madd, collect_products, settle
+    from denslift.scalars import settle
 
-    s = _slot(slot, drawn, b * a)
-    want = a * b if s is None else s + a * b
-    assert fields(settle([{(): _madd(s, a, b)}])[0][()]) == fields(want)
-    # through the kernel: a sum that cancels stays in the target as zero
-    target = settle(collect_products([{} if s is None else {(): s}], {(): [(0, a)]}, [((), b)]))[0]
+    target = _slot(slot, drawn, b * a)
+    want = target[()] + a * b if target else a * b
+    _madd(target, a, b)
+    # a sum that cancels stays in the target as zero
+    assert settle([target])[0] is target
     assert list(target) == [()] and fields(target[()]) == fields(want)
     if slot == "cancel":
         assert target[()].is_zero()
@@ -310,20 +319,20 @@ def test_multiply_add_matches_the_scalar_route(slot, a, b, drawn):
 @given(SLOTS, madd_operands(), st.lists(st.tuples(madd_operands(), madd_operands()),
                                         min_size=1, max_size=6))
 def test_an_open_sum_settles_to_the_scalar_route(slot, drawn, products):
-    from denslift.scalars import _madd, settle
+    from denslift.scalars import settle
 
-    s = _slot(slot, drawn, sum((a * b for a, b in products), Scalar.of(0)))
-    want = s
+    t = _slot(slot, drawn, sum((a * b for a, b in products), Scalar.of(0)))
+    want = t.get(())
     for a, b in products:
         want = a * b if want is None else want + a * b
-        s = _madd(s, a, b)
-    assert fields(settle([{(): s}])[0][()]) == fields(want)
+        _madd(t, a, b)
+    assert list(settle([t])[0]) == [()] and fields(t[()]) == fields(want)
     if slot == "cancel":
         assert want.is_zero()
 
 
 def test_an_open_sum_switches_parameter_and_cancels():
-    from denslift.scalars import _madd, settle
+    from denslift.scalars import settle
 
     half, third = Scalar.of(F(1, 2)), Scalar.of(F(1, 3))
     cases = [
@@ -335,10 +344,11 @@ def test_an_open_sum_switches_parameter_and_cancels():
         [(l0, k1), (half, l0 * l0), (-l0, k1), (-half, l0 * l0)],
     ]
     for products in cases:
-        s, want = None, Scalar.of(0)
+        t, want = {}, Scalar.of(0)
         for a, b in products:
-            s, want = _madd(s, a, b), want + a * b
-        assert fields(settle([{(): s}])[0][()]) == fields(want)
+            _madd(t, a, b)
+            want = want + a * b
+        assert fields(settle([t])[0][()]) == fields(want)
     assert want.is_zero()
 
 
