@@ -538,7 +538,7 @@ class _Sum:
             return rest
         m = gcd(*c) if c[-1] > 0 else -gcd(*c)
         out = _finish(self.name, m, self.den, tuple([y // m for y in c]), (1,))
-        return _plus(out, rest, rest._p, rest._q)
+        return _plus(out, rest, rest._p, rest._q) if rest._p else out
 
 
 def settle(targets):
