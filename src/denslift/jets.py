@@ -259,7 +259,7 @@ class DiffPolynomial:
                     partials.setdefault(sym, {})[rest] = [(0, a)]
         for sym, left in partials.items():
             collect_products([out], left, dsyms[sym])
-        return DiffPolynomial(settle([out])[0] if partials else out)
+        return DiffPolynomial(settle([out])[0])
 
     def substitute_params(self, bindings: Mapping[str, Scalar]) -> "DiffPolynomial":
         return DiffPolynomial({m: c.substitute(bindings) for m, c in self.terms.items()})

@@ -82,7 +82,7 @@ def collect_products(targets, left, right):
                 elif s._vars or a1._vars or a2._vars:
                     t[m] = _Sum(s, a1, a2)
                     t.setdefault(None, []).append(m)
-                else:   # the rational product enters _plus unbuilt, as its content
+                else:   # all rational: one _plus costs less than opening a _Sum
                     t[m] = _plus(s, a2, a1._p * a2._p, a1._q * a2._q)
     return targets
 
@@ -464,12 +464,7 @@ def _plus(a: "Scalar", b: "Scalar", p2: int, q2: int) -> "Scalar":
         # one parameter over constant denominators: one pass over the coefficients,
         # whose gcd is the content; _finish drops the parameter from a constant sum
         u = [x1 * s + x2 * t for s, t in zip_longest(a._n, b._n, fillvalue=0)]
-        while u and not u[-1]:
-            u.pop()
-        if not u:
-            return ZERO
-        m = gcd(*u) if u[-1] > 0 else -gcd(*u)
-        return _finish(a._vars, m, l, tuple([c // m for c in u]), a._d)
+        return _dense(a._vars, u, l)
     names, n1, d1, n2, d2 = _common(a, b)
     k = len(names)
     if d1 == d2:
@@ -531,14 +526,19 @@ class _Sum:
         self.c = d if len(c) == len(n) else d + (c[len(n):] or [f * z for z in n[len(c):]])
 
     def close(self) -> "Scalar":
-        c, rest = self.c, self.rest
-        while c and not c[-1]:
-            c.pop()
-        if not c:
-            return rest
-        m = gcd(*c) if c[-1] > 0 else -gcd(*c)
-        out = _finish(self.name, m, self.den, tuple([y // m for y in c]), (1,))
+        out, rest = _dense(self.name, self.c, self.den), self.rest
         return _plus(out, rest, rest._p, rest._q) if rest._p else out
+
+
+def _dense(names, u: list, q: int) -> "Scalar":
+    """The Scalar u / q, u the integer coefficients of a polynomial in the one
+    parameter ``names`` (or a constant when names is empty), q > 0."""
+    while u and not u[-1]:
+        u.pop()
+    if not u:
+        return ZERO
+    m = gcd(*u) if u[-1] > 0 else -gcd(*u)
+    return _finish(names, m, q, tuple([c // m for c in u]), (1,))
 
 
 def settle(targets):
