@@ -527,7 +527,7 @@ class _Sum:
 
     def close(self) -> "Scalar":
         out, rest = _dense(self.name, self.c, self.den), self.rest
-        return _plus(out, rest, rest._p, rest._q) if rest._p else out
+        return _plus(rest, out, out._p, out._q) if rest._p else out
 
 
 def _dense(names, u: list, q: int) -> "Scalar":
