@@ -41,7 +41,7 @@ from .lifting import (
     taylor_expand,
     vol_lift,
 )
-from .operators import DensityOperator, generic_second_order
+from .operators import DensityOperator, TermMap, generic_second_order
 from .projective import (
     DiffeoJet1D,
     SymbolPoly,
@@ -368,16 +368,8 @@ def _sum(pieces):
 
 
 def _emit(cfg: SessionConfig, obj) -> str:
-    if cfg.json_output and isinstance(obj, DensityOperator):
+    if cfg.json_output and isinstance(obj, TermMap):
         return obj.to_json()
-    if cfg.json_output and isinstance(obj, SymbolPoly):
-        return json.dumps({
-            "schema": "denslift/1",
-            "symbol": [{"xi": list(beta), "coeff": str(c)}
-                       for beta, c in sorted(obj.terms.items(),
-                                             key=lambda kv: (-len(kv[0]), kv[0]))],
-            "degree": obj.degree(),
-        })
     if isinstance(obj, list):   # Taylor coefficients [D0..Dn]
         if cfg.json_output:
             return json.dumps({"schema": "denslift/1",

@@ -1,5 +1,11 @@
 """Normal-ordered weight-0 operators on the algebra of densities.
 
+``TermMap`` is the linear structure that operators and the symbols of
+``projective`` share, written once: the constructor (keys normalized and
+checked by the per-class hook ``_key``), sums, scaling by a coefficient,
+equality and display.  ``SymbolPoly`` keeps its key hook, its commuting
+product, ``degree``, ``coefficient``, ``lie_derive`` and its term order.
+
 An operator is a finite sum  sum_(r,alpha) c_{r,alpha}(x) L^r D^alpha  with
 coefficient functions to the left, powers of the weight generator L (which
 multiplies a density by its weight and is central here) in the middle, and
@@ -45,22 +51,74 @@ class Density(NamedTuple):
         return Density(self.coeff * other.coeff, self.weight + other.weight)
 
 
-class DensityOperator:
-    """Finite map (weight-power, derivative multi-index) -> coefficient."""
+class TermMap:
+    """Finite map key -> coefficient function in a fixed dimension.  A subclass
+    gives ``render`` and ``_key``, which normalizes a key and checks it."""
 
     __slots__ = ("dim", "terms")
 
-    def __init__(self, dim: int, terms: Optional[Dict[TermKey, DiffPolynomial]] = None):
+    def __init__(self, dim: int, terms: Optional[Dict] = None):
         if dim < 1:
             raise ValueError("dimension must be at least 1")
         self.dim = dim
-        # D_i commute, so keys equal up to the order of alpha add up
-        summed = collect(((r, tuple(sorted(alpha))), c) for (r, alpha), c in (terms or {}).items())
-        for r, alpha in summed:
-            if r < 0 or alpha and (alpha[0] < 1 or alpha[-1] > dim):
-                raise ValueError(f"term key {(r, alpha)}: need a weight power >= 0 "
-                                 f"and axes in 1..{dim}")
+        summed = collect((self._key(k), c) for k, c in (terms or {}).items())
         self.terms = {k: c for k, c in summed.items() if not c.is_zero()}
+
+    def _check_dim(self, other: "TermMap"):
+        if self.dim != other.dim:
+            raise DimensionMismatchError(f"dim {self.dim} vs {other.dim}")
+
+    def __add__(self, other: "TermMap") -> "TermMap":
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check_dim(other)
+        return type(self)(self.dim, collect(other.terms.items(), dict(self.terms)))
+
+    def __neg__(self) -> "TermMap":
+        return type(self)(self.dim, {k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other: "TermMap") -> "TermMap":
+        return self + (-other) if isinstance(other, type(self)) else NotImplemented
+
+    def __mul__(self, factor) -> "TermMap":
+        """Every coefficient times a coefficient function or scalar."""
+        if not isinstance(factor, (int, Fraction, Scalar, DiffPolynomial)):
+            return NotImplemented   # an operator or symbol is no coefficient
+        return type(self)(self.dim, {k: c * factor for k, c in self.terms.items()})
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.dim == other.dim and self.terms == other.terms
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __str__(self) -> str:
+        return self.render()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(d={self.dim}, {self.render()})"
+
+
+class DensityOperator(TermMap):
+    """Finite map (weight-power, derivative multi-index) -> coefficient."""
+
+    __slots__ = ()
+    # named here too: perfbench/tracing.py patches each from the class's own __dict__
+    __add__, __neg__, __sub__, __mul__, __rmul__ = (
+        TermMap.__add__, TermMap.__neg__, TermMap.__sub__, TermMap.__mul__, TermMap.__rmul__)
+
+    def _key(self, key: TermKey) -> TermKey:
+        # D_i commute, so keys equal up to the order of alpha add up
+        r, alpha = key
+        alpha = tuple(sorted(alpha))
+        if r < 0 or alpha and (alpha[0] < 1 or alpha[-1] > self.dim):
+            raise ValueError(f"term key {(r, alpha)}: need a weight power >= 0 "
+                             f"and axes in 1..{self.dim}")
+        return r, alpha
 
     # -- constructors ------------------------------------------------------
 
@@ -98,40 +156,6 @@ class DensityOperator:
             c = c if isinstance(c, DensityOperator) else DensityOperator.function(dim, c)
             out = (shift @ out if out.terms else out) + c
         return out
-
-    # -- linear structure ----------------------------------------------------
-
-    def _check_dim(self, other: "DensityOperator"):
-        if self.dim != other.dim:
-            raise DimensionMismatchError(f"dim {self.dim} vs {other.dim}")
-
-    def __add__(self, other: "DensityOperator") -> "DensityOperator":
-        if not isinstance(other, DensityOperator):
-            return NotImplemented
-        self._check_dim(other)
-        return DensityOperator(self.dim, collect(other.terms.items(), dict(self.terms)))
-
-    def __neg__(self) -> "DensityOperator":
-        return DensityOperator(self.dim, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "DensityOperator") -> "DensityOperator":
-        return self + (-other) if isinstance(other, DensityOperator) else NotImplemented
-
-    def __mul__(self, factor) -> "DensityOperator":
-        """Left multiplication by a coefficient function or scalar."""
-        if not isinstance(factor, (int, Fraction, Scalar, DiffPolynomial)):
-            return NotImplemented   # an operator or symbol is no coefficient
-        return DensityOperator(self.dim, {k: c * factor for k, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DensityOperator):
-            return NotImplemented
-        return self.dim == other.dim and self.terms == other.terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     # -- composition ---------------------------------------------------------
 
@@ -252,12 +276,6 @@ class DensityOperator:
             "order": self.total_order(),
         }
         return json.dumps(data)
-
-    def __str__(self) -> str:
-        return self.render()
-
-    def __repr__(self) -> str:
-        return f"DensityOperator(d={self.dim}, {self.render()})"
 
 
 def _compose_into(out: Dict[TermKey, dict], a: DensityOperator, b: DensityOperator,

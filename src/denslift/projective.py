@@ -12,15 +12,17 @@ self-adjoint pencil produces the Schwarzian cocycle in one dimension.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from math import comb, factorial
 from types import MappingProxyType
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 from .errors import BadPolynomialError, DimensionNotOneError
 from .jets import DiffPolynomial, JetSymbol, REGISTRY
 from .lifting import _reject_weights, _require_second_order, even_t_family
-from .operators import DensityOperator, coefficient_tensors, multinomial, tensor_divergence
+from .operators import (DensityOperator, TermMap, coefficient_tensors, multinomial,
+                        tensor_divergence)
 from .scalars import HALF, ONE, ZERO, Scalar, collect, render_sum
 
 # Reciprocal-jet symbols: w = 1/y_x with dw = -w^2 y_xx, and the pair (u, q)
@@ -33,25 +35,19 @@ REGISTRY.ensure("u", lambda sym, axis: DiffPolynomial.jet("u") ** 2)
 REGISTRY.ensure("q", lambda sym, axis: DiffPolynomial.const(-1))
 
 
-class SymbolPoly:
+class SymbolPoly(TermMap):
     """Polynomial in the cotangent fiber variables with jet coefficients."""
 
-    __slots__ = ("dim", "terms")
-    _check_dim = DensityOperator._check_dim   # the same DimensionMismatchError
+    __slots__ = ()
+    # named here too: perfbench/tracing.py patches each from the class's own __dict__
+    __add__, __neg__, __sub__ = TermMap.__add__, TermMap.__neg__, TermMap.__sub__
 
-    def __init__(self, dim: int, terms: Optional[Dict[Tuple[int, ...], DiffPolynomial]] = None):
-        if dim < 1:
-            raise ValueError("dimension must be at least 1")
-        self.dim = dim
+    def _key(self, beta: Tuple[int, ...]) -> Tuple[int, ...]:
         # fiber variables commute, so keys equal up to order add up
-        summed = collect((tuple(sorted(beta)), c) for beta, c in (terms or {}).items())
-        for beta in summed:
-            if beta and (beta[0] < 1 or beta[-1] > dim):
-                raise ValueError(f"term key {beta}: need axes in 1..{dim}")
-        self.terms = {b: c for b, c in summed.items() if not c.is_zero()}
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        beta = tuple(sorted(beta))
+        if beta and (beta[0] < 1 or beta[-1] > self.dim):
+            raise ValueError(f"term key {beta}: need axes in 1..{self.dim}")
+        return beta
 
     def degree(self) -> int:
         return max((len(b) for b in self.terms), default=0)
@@ -59,34 +55,15 @@ class SymbolPoly:
     def coefficient(self, beta) -> DiffPolynomial:
         return self.terms.get(tuple(sorted(beta)), DiffPolynomial.zero())
 
-    def __add__(self, other: "SymbolPoly") -> "SymbolPoly":
-        if not isinstance(other, SymbolPoly):
-            return NotImplemented
-        self._check_dim(other)
-        return SymbolPoly(self.dim, collect(other.terms.items(), dict(self.terms)))
-
-    def __neg__(self) -> "SymbolPoly":
-        return SymbolPoly(self.dim, {b: -c for b, c in self.terms.items()})
-
-    def __sub__(self, other: "SymbolPoly") -> "SymbolPoly":
-        return self + (-other) if isinstance(other, SymbolPoly) else NotImplemented
-
     def __mul__(self, factor) -> "SymbolPoly":
-        if isinstance(factor, SymbolPoly):
-            self._check_dim(factor)
-            return SymbolPoly(self.dim, collect(
-                (b1 + b2, c1 * c2) for b1, c1 in self.terms.items()
-                for b2, c2 in factor.terms.items()))
-        if isinstance(factor, DensityOperator):
-            return NotImplemented   # an operator is no coefficient
-        return SymbolPoly(self.dim, {b: c * factor for b, c in self.terms.items()})
+        if not isinstance(factor, SymbolPoly):
+            return super().__mul__(factor)
+        self._check_dim(factor)
+        return SymbolPoly(self.dim, collect(
+            (b1 + b2, c1 * c2) for b1, c1 in self.terms.items()
+            for b2, c2 in factor.terms.items()))
 
     __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SymbolPoly):
-            return NotImplemented
-        return self.dim == other.dim and self.terms == other.terms
 
     def lie_derive(self, components: Sequence[DiffPolynomial]) -> "SymbolPoly":
         """Canonical cotangent lift: X^i df/dx^i - xi_p dX^p/dx^i df/dxi_i."""
@@ -105,19 +82,23 @@ class SymbolPoly:
 
         return SymbolPoly(self.dim, collect(pieces()))
 
+    def sorted_terms(self):
+        return sorted(self.terms.items(), key=lambda kv: (-len(kv[0]), kv[0]))
+
     def render(self) -> str:
         terms = []
-        for beta in sorted(self.terms, key=lambda b: (-len(b), b)):
+        for beta, c in self.sorted_terms():
             factors = [("xi" if self.dim == 1 else f"xi{i}") + ("" if e == 1 else f"^{e}")
                        for i, e in sorted(collect((i, 1) for i in beta).items())]
-            terms.append((self.terms[beta], factors))
+            terms.append((c, factors))
         return render_sum(terms)
 
-    def __str__(self):
-        return self.render()
-
-    def __repr__(self):
-        return f"SymbolPoly(d={self.dim}, {self.render()})"
+    def to_json(self) -> str:
+        return json.dumps({
+            "schema": "denslift/1",
+            "symbol": [{"xi": list(beta), "coeff": str(c)} for beta, c in self.sorted_terms()],
+            "degree": self.degree(),
+        })
 
 
 # -- the full symbol map and its inverse --------------------------------------

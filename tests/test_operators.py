@@ -433,11 +433,18 @@ def test_mixed_type_arithmetic_scales_by_coefficients_and_nothing_else():
         assert (value * factor).terms == {k: c * factor for k, c in value.terms.items()}
     refused = [(op, op2, "*"), (op, sym, "*"), (sym, op, "*"), (op, f, "+"), (f, op, "+"),
                (op, sym, "+"), (sym, f, "+"), (f, sym, "+"), (f, op, "-"), (op, f, "-"),
-               (sym, op, "-"), (sym, f, "-"), (f, "a", "+"), (f, None, "-"), (f, None, "*")]
+               (sym, op, "-"), (sym, f, "-"), (f, "a", "+"), (f, None, "-"), (f, None, "*"),
+               (SymbolPoly(1), None, "*"), (None, SymbolPoly(2), "*")]
     for left, right, sign in refused:
         with pytest.raises(TypeError, match=rf"unsupported operand type\(s\) for \{sign}:"):
             {"*": lambda: left * right, "+": lambda: left + right,
              "-": lambda: left - right}[sign]()
+    # a string factor makes Python try sequence repetition: its TypeError names
+    # the symbol, as for an operator, and never a coefficient type
+    for left, right, name in ((sym, "a", "SymbolPoly"), ("a", SymbolPoly(2), "SymbolPoly"),
+                              (op, "a", "DensityOperator")):
+        with pytest.raises(TypeError, match=f"can't multiply sequence by non-int of type '{name}'"):
+            left * right
 
 
 def test_no_open_sum_escapes_the_kernel(monkeypatch):

@@ -129,6 +129,8 @@ def test_symbols_and_operators_are_not_ints():
                   DensityOperator.identity(1), DensityOperator.zero(1)):
         assert (value == 1) is False and (value == 0) is False
         assert value != 1
+    assert repr(DensityOperator.identity(1)) == "DensityOperator(d=1, 1)"
+    assert repr(SymbolPoly(2, {(2, 1): DiffPolynomial.const(3)})) == "SymbolPoly(d=2, 3*xi1*xi2)"
 
 
 def test_quantize_second_order_line():

@@ -30,3 +30,16 @@ def test_tracer_wraps_engine_names_and_restores_them():
     after = _snapshot()
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())
+
+
+def test_each_term_map_counts_its_shared_dunders_under_its_own_class():
+    # TermMap's + is aliased into each subclass body, so a symbol sum stays in
+    # the projective layer and an operator sum in the operators layer
+    sym = projective.SymbolPoly(1, {(1,): jets.DiffPolynomial.const(1)})
+    op = operators.DensityOperator.partial(1, 1)
+    tracer = load_perfbench("tracing").Tracer()
+    with tracer:
+        sym + sym
+        op + op
+    assert tracer.calls["projective.SymbolPoly.__add__"] == 1
+    assert tracer.calls["operators.DensityOperator.__add__"] == 1
