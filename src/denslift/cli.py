@@ -67,9 +67,6 @@ class SessionConfig(NamedTuple):
     json_output: bool = False
     params: Mapping[str, Scalar] = MappingProxyType({})
 
-    def param_names(self):
-        return set(DEFAULT_PARAMS) | set(self.params)
-
 
 _NAME = r"[A-Za-z][A-Za-z0-9]*"
 _NAME_RE = re.compile(_NAME)
@@ -289,7 +286,7 @@ class _Parser:
             axis = int(xi.group(1)) if xi.group(1) else 1
             self._check_axis(axis)
             return SymbolPoly(self.cfg.dim, {(axis,): DiffPolynomial.const(1)})
-        if val in self.cfg.param_names():
+        if val in DEFAULT_PARAMS or val in self.cfg.params:
             # l0 is the base weight: --lambda0 sets it, --params cannot bind it
             bound = self.cfg.lambda0 if val == "l0" else self.cfg.params.get(val)
             scalar = bound if bound is not None else Scalar.param(val)
@@ -335,7 +332,7 @@ def parse_symbol(src: str, cfg: SessionConfig) -> SymbolPoly:
 def operator_from_json(text: str, cfg: SessionConfig) -> DensityOperator:
     try:
         terms = [(t["lpow"], t["dmulti"], t["coeff"]) for t in json.loads(text)["terms"]]
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise SchemaError(f"not a denslift/1 operator: {exc!r}") from None
     pieces = [DensityOperator.zero(cfg.dim)]
     for r, alpha, coeff in terms:

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple
 
 from .errors import DuplicateSymbolError
-from .scalars import Scalar, _by_factor, collect, collect_products, mono_mul, render_sum, settle
+from .scalars import Scalar, _by_factor, _Sum, collect, collect_products, mono_mul, render_sum
 
 
 # Index i is stored as the character chr(i + 1), which bounds it.
@@ -152,7 +152,13 @@ class DiffPolynomial:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Optional[Dict[JetMono, Scalar]] = None):
-        self.terms = {m: c for m, c in (terms or {}).items() if not c.is_zero()}
+        # the one pass that drops zeros (a zero Scalar has content 0) also closes
+        # a kernel target's open sums
+        self.terms = out = {}
+        for m, c in (terms or {}).items():
+            c = c.close() if type(c) is _Sum else c
+            if c._p:
+                out[m] = c
 
     # -- constructors ------------------------------------------------------
 
@@ -214,7 +220,7 @@ class DiffPolynomial:
         if o is None:
             return NotImplemented
         left = {m: [(0, c)] for m, c in self.terms.items()}
-        return DiffPolynomial(settle(collect_products([{}], left, o.terms.items()))[0])
+        return DiffPolynomial(collect_products([{}], left, o.terms.items())[0])
 
     __rmul__ = __mul__
 
@@ -259,7 +265,7 @@ class DiffPolynomial:
                     partials.setdefault(sym, {})[rest] = [(0, a)]
         for sym, left in partials.items():
             collect_products([out], left, dsyms[sym])
-        return DiffPolynomial(settle([out])[0])
+        return DiffPolynomial(out)
 
     def substitute_params(self, bindings: Mapping[str, Scalar]) -> "DiffPolynomial":
         return DiffPolynomial({m: c.substitute(bindings) for m, c in self.terms.items()})

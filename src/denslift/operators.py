@@ -13,7 +13,7 @@ symmetric derivative multi-indices D^alpha on the right.  Composition and
 the adjoint normal-order by the closed Leibniz sum D^alpha o c = sum over
 beta <= alpha of C(alpha, beta) d^(alpha - beta)(c) D^beta, each derivative
 of c taken once, and sum its products through ``scalars.collect_products``.
-Compose, commutator and adjoint each settle their open sums once (``scalars.settle``).
+The kernel's open sums close in the DiffPolynomial each result coefficient becomes.
 Composition merges the left factor's terms that share an alpha by jet
 monomial, as L is central, so one monomial product serves every L power; the
 adjoint makes one Leibniz pass per term and spreads it over the L powers of
@@ -34,7 +34,7 @@ from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatchError, HasWeightOperatorError
 from .jets import DiffPolynomial
-from .scalars import Scalar, collect, collect_products, render_sum, settle
+from .scalars import Scalar, collect, collect_products, render_sum
 
 TermKey = Tuple[int, Tuple[int, ...]]
 
@@ -166,7 +166,6 @@ class DensityOperator(TermMap):
         """Normal form of self o other (see _compose_into)."""
         self._check_dim(other)
         out = _compose_into({}, self, other)
-        settle(out.values())
         return DensityOperator(self.dim, {k: DiffPolynomial(t) for k, t in out.items()})
 
     def adjoint(self) -> "DensityOperator":
@@ -178,7 +177,6 @@ class DensityOperator(TermMap):
                 left = {(): [(j, Scalar.of(comb(r, j) * weight * (-1) ** (j + len(alpha))))
                              for j in range(r + 1)]}
                 collect_products([out.setdefault((j, beta), {}) for j in range(r + 1)], left, g)
-        settle(out.values())
         return DensityOperator(self.dim, {k: DiffPolynomial(t) for k, t in out.items()})
 
     def commutator(self, other: "DensityOperator") -> "DensityOperator":
@@ -188,7 +186,6 @@ class DensityOperator(TermMap):
         self._check_dim(other)
         out = _compose_into({}, self, other, top=False)
         _compose_into(out, -other, self, top=False)
-        settle(out.values())
         return DensityOperator(self.dim, {k: DiffPolynomial(t) for k, t in out.items()})
 
     # -- restriction and application -----------------------------------------
@@ -280,7 +277,7 @@ class DensityOperator(TermMap):
 
 def _compose_into(out: Dict[TermKey, dict], a: DensityOperator, b: DensityOperator,
                   top: bool = True) -> Dict[TermKey, dict]:
-    """Add a o b into out, {key: {jet monomial: unsettled sum}}, and return it;
+    """Add a o b into out, {key: {jet monomial: Scalar or open sum}}, and return it;
     top=False leaves out the top Leibniz terms (see _leibniz).  a's terms are
     grouped by alpha1, sharing one derivative table of each c2, and merged by
     jet monomial, so collect_products forms each m1 m2 once for all L powers."""

@@ -68,7 +68,7 @@ def collect_products(targets, left, right):
     """The one multiply-accumulate loop: for every (i, a1) in ``left[m1]`` and
     (m2, a2) in ``right``, add a1 * a2 at ``mono_mul(m1, m2)`` into ``targets[i]``;
     return ``targets``.  Zero sums stay.  A slot not all rational becomes an open
-    sum (_Sum) at its second product, listed under the key None until ``settle``."""
+    sum (_Sum) at its second product, which ``jets.DiffPolynomial`` closes."""
     for m1, row in left.items():
         for m2, a2 in right:
             m = mono_mul(m1, m2)
@@ -81,7 +81,6 @@ def collect_products(targets, left, right):
                     s.add(a1, a2)
                 elif s._vars or a1._vars or a2._vars:
                     t[m] = _Sum(s, a1, a2)
-                    t.setdefault(None, []).append(m)
                 else:   # all rational: one _plus costs less than opening a _Sum
                     t[m] = _plus(s, a2, a1._p * a2._p, a1._q * a2._q)
     return targets
@@ -539,15 +538,6 @@ def _dense(names, u: list, q: int) -> "Scalar":
         return ZERO
     m = gcd(*u) if u[-1] > 0 else -gcd(*u)
     return _finish(names, m, q, tuple([c // m for c in u]), (1,))
-
-
-def settle(targets):
-    """Close the open sums in the target dicts of collect_products; return them."""
-    for t in targets:
-        if None in t:
-            for m in t.pop(None):
-                t[m] = t[m].close()
-    return targets
 
 
 def _times(a: "Scalar", b: "Scalar") -> "Scalar":

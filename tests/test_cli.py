@@ -157,6 +157,8 @@ def test_json_ingestion_rejects_malformed_input():
         '{"schema": "denslift/1"}',
         '[]',
         'not json',
+        "[" * 100000,
+        '{"terms": ' + "[" * 100000,
         f'{{"terms": [{{"lpow": {MAX_TERM_ORDER - 1}, "dmulti": [1, 1], "coeff": "1"}}]}}',
     ]
     for text in bad:

@@ -240,21 +240,21 @@ def test_tracer_classifies_denominators_through_the_den_view():
 
 
 def test_collect_products_accumulates_into_each_target():
-    from denslift.scalars import collect_products, settle
+    from denslift.scalars import collect_products
 
     x, x2 = (("x", 1),), (("x", 2),)
     left = {x: [(0, Scalar.of(2)), (1, l0)], (): [(1, Scalar.of(3))]}
     right = [((), Scalar.of(5)), (x, Scalar.of(7))]
     targets = [{}, {x: Scalar.of(1)}]
     assert collect_products(targets, left, right) is targets
-    assert settle(targets) is targets
-    assert targets[0] == {x: Scalar.of(10), x2: Scalar.of(14)}
+    assert DiffPolynomial(targets[0]).terms == {x: Scalar.of(10), x2: Scalar.of(14)}
     # x is hit twice in target 1, as x * 1 and 1 * x, on top of its prior 1
-    assert targets[1] == {x: 5 * l0 + 22, x2: 7 * l0, (): Scalar.of(15)}
-    # a sum that cancels keeps its key with a zero value, as collect's do
-    zero = settle(collect_products([{}], {x: [(0, 7 * l0)], (): [(0, -5 * l0)]}, right))[0]
-    assert zero == {x: Scalar.of(0), x2: 49 * l0, (): -25 * l0}
-    assert x in zero and zero[x].is_zero()
+    assert DiffPolynomial(targets[1]).terms == {x: 5 * l0 + 22, x2: 7 * l0, (): Scalar.of(15)}
+    # a sum that cancels keeps its key in the target, as collect's do, and the
+    # DiffPolynomial built from the target drops it
+    zero = collect_products([{}], {x: [(0, 7 * l0)], (): [(0, -5 * l0)]}, right)[0]
+    assert x in zero
+    assert DiffPolynomial(zero).terms == {x2: 49 * l0, (): -25 * l0}
 
 
 # -- the multiply-add and mono_mul against the routes they replace ----------------
@@ -300,40 +300,44 @@ def _madd(t, a, b):
     collect_products([t], {(): [(0, a)]}, [((), b)])
 
 
+def _assert_slot(t, want):
+    """The slot () of the kernel target dict t, read through the DiffPolynomial
+    that closes its open sum, has the fields of want; a sum that cancels is dropped."""
+    got = DiffPolynomial(t).terms
+    if want.is_zero():
+        assert got == {}
+    else:
+        assert list(got) == [()] and fields(got[()]) == fields(want)
+
+
 @settings(max_examples=300, deadline=None)
 @given(SLOTS, madd_operands(), madd_operands(), madd_operands())
 def test_multiply_add_matches_the_scalar_route(slot, a, b, drawn):
-    from denslift.scalars import settle
-
     target = _slot(slot, drawn, b * a)
     want = target[()] + a * b if target else a * b
     _madd(target, a, b)
-    # a sum that cancels stays in the target as zero
-    assert settle([target])[0] is target
-    assert list(target) == [()] and fields(target[()]) == fields(want)
+    assert list(target) == [()]
+    _assert_slot(target, want)
     if slot == "cancel":
-        assert target[()].is_zero()
+        assert want.is_zero()
 
 
 @settings(max_examples=150, deadline=None)
 @given(SLOTS, madd_operands(), st.lists(st.tuples(madd_operands(), madd_operands()),
                                         min_size=1, max_size=6))
 def test_an_open_sum_settles_to_the_scalar_route(slot, drawn, products):
-    from denslift.scalars import settle
-
     t = _slot(slot, drawn, sum((a * b for a, b in products), Scalar.of(0)))
     want = t.get(())
     for a, b in products:
         want = a * b if want is None else want + a * b
         _madd(t, a, b)
-    assert list(settle([t])[0]) == [()] and fields(t[()]) == fields(want)
+    assert list(t) == [()]
+    _assert_slot(t, want)
     if slot == "cancel":
         assert want.is_zero()
 
 
 def test_an_open_sum_switches_parameter_and_cancels():
-    from denslift.scalars import settle
-
     half, third = Scalar.of(F(1, 2)), Scalar.of(F(1, 3))
     cases = [
         # l0, then k1: the k1 product goes to the Scalar rest
@@ -348,7 +352,7 @@ def test_an_open_sum_switches_parameter_and_cancels():
         for a, b in products:
             _madd(t, a, b)
             want = want + a * b
-        assert fields(settle([t])[0][()]) == fields(want)
+        _assert_slot(t, want)
     assert want.is_zero()
 
 
